@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines import build_baseline
 from repro.core import OpenIMAConfig, OpenIMATrainer
 from repro.core.config import fast_config
+from repro.core.registry import build_method
 from repro.datasets import load_open_world_dataset
 from repro.metrics import open_world_accuracy
 
@@ -58,12 +58,12 @@ def main() -> None:
     trainer_config = fast_config(max_epochs=10, seed=1, encoder_kind="gcn", batch_size=512)
 
     # Baseline 1: C+1 open-world node classification extended by post-clustering.
-    oodgat = build_baseline("oodgat", dataset, trainer_config.with_updates(max_epochs=30))
+    oodgat = build_method("oodgat", dataset, trainer_config.with_updates(max_epochs=30))
     oodgat.fit()
     evaluate("OODGAT+", oodgat, dataset)
 
     # Baseline 2: classifier-based open-world SSL (biased toward seen fields).
-    opencon = build_baseline("opencon", dataset, trainer_config.with_updates(max_epochs=30))
+    opencon = build_method("opencon", dataset, trainer_config.with_updates(max_epochs=30))
     opencon.fit()
     evaluate("OpenCon", opencon, dataset)
 

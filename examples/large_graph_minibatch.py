@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import time
 
-from repro.baselines import build_baseline
 from repro.core import OpenIMAConfig, OpenIMATrainer, SamplingConfig
 from repro.core.config import fast_config
+from repro.core.registry import build_method
 from repro.datasets import load_open_world_dataset
 
 
@@ -61,7 +61,7 @@ def main() -> None:
 
     # ORCA baseline for reference.
     start = time.time()
-    orca = build_baseline("orca", dataset, trainer_config.with_updates(max_epochs=16))
+    orca = build_method("orca", dataset, trainer_config.with_updates(max_epochs=16))
     orca.fit()
     report("ORCA", orca, time.time() - start)
 

@@ -570,13 +570,13 @@ class PicklableWorkerRule(Rule):
     """R9: pool workers must be module-level functions.
 
     A lambda or a function nested inside another function does not pickle,
-    so passing one to a process-pool ``map``/``submit`` either raises
-    ``PicklingError`` at dispatch or — through
-    :class:`repro.parallel.ParallelExecutor`'s crash recovery — silently
-    degrades the whole call to the serial fallback.  The rule flags any
-    lambda, and any name bound by a nested ``def``, used as the worker
-    argument of ``.map``/``.submit`` on a receiver whose name looks like a
-    pool (``*executor`` / ``*pool``, any casing).
+    so passing one to a process-pool ``map``/``submit`` either raises at
+    dispatch or — through the experiment grid's serial fallback
+    (:func:`repro.experiments.runner._run_cells`) — silently runs every
+    cell serially, with no error to show the pool never ran.  The rule
+    flags any lambda, and any name bound by a nested ``def``, used as the
+    worker argument of ``.map``/``.submit`` on a receiver whose name looks
+    like a pool (``*executor`` / ``*pool``, any casing).
     """
 
     id = "R9"
@@ -584,9 +584,9 @@ class PicklableWorkerRule(Rule):
     description = ("the worker passed to <executor|pool>.map/.submit must be "
                    "a module-level function, not a lambda or a nested def "
                    "(they do not pickle to process pools)")
-    contract = ("PR 10 parallel layer: ParallelExecutor rejects closure "
-                "workers up front on the processes backend; every shipped "
-                "worker lives in repro.parallel.workers")
+    contract = ("experiment grid: _run_cells hands the module-level "
+                "run_grid_cell to a stdlib pool; a closure fails to pickle "
+                "there and the grid silently falls back to serial")
 
     _METHODS = frozenset({"map", "submit"})
 

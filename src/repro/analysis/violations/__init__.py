@@ -11,7 +11,7 @@ Each module provokes exactly one runtime sanitizer:
 * :mod:`.global_rng` — draws from numpy's global RNG inside the ``repro``
   namespace (:class:`~repro.analysis.sanitizers.GlobalRNGViolation`).
 * :mod:`.parallel_closure` — hands a closure worker to a pool executor
-  (static rule R9; ``ValueError`` at dispatch on the processes backend).
+  (static rule R9; the workers fail to pickle to a process pool).
 
 The package is excluded from ``repro lint`` by default
 (:data:`repro.analysis.framework.DEFAULT_EXCLUDES`) precisely because the

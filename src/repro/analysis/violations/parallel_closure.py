@@ -2,10 +2,11 @@
 """Closure worker handed to a process pool for the R9 lint demo.
 
 Static rule R9 flags both call sites below (run the linter with excludes
-disabled to see them); executing :func:`provoke_closure_worker` against a
-processes-backend :class:`~repro.parallel.ParallelExecutor` raises
-``ValueError`` at dispatch — the executor refuses un-picklable workers
-before a pool ever spins up.
+disabled to see them).  Executing :func:`provoke_closure_worker` against a
+``concurrent.futures.ProcessPoolExecutor`` fails when the workers are
+pickled — nothing checks them up front, and a caller that recovers from
+pool failures by re-running serially (as the experiment grid does) hides
+the failure entirely.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from typing import List
 def provoke_closure_worker(executor, items: List[int]) -> list:
     """Submit a locally nested worker (and a lambda) to a pool executor.
 
-    Both workers close over ``offset``, so neither pickles; on the
-    processes backend the executor raises immediately instead of leaking a
-    broken pool.
+    Both workers close over ``offset``, so neither pickles to a process
+    pool.
     """
     offset = 1
 
-    def shifted(item, payload, rng):
+    def shifted(item):
         return item + offset
 
-    results = executor.map(shifted, items)
-    results += executor.map(lambda item, payload, rng: item + offset, items)
+    results = list(executor.map(shifted, items))
+    results += executor.map(lambda item: item + offset, items)
     return results

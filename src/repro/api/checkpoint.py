@@ -32,8 +32,9 @@ from ..core.trainer import GraphTrainer, TrainingHistory
 from ..datasets.splits import OpenWorldDataset
 from ..datasets.synthetic import load_open_world_dataset
 
-#: Bump when the on-disk layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bump when the on-disk layout changes incompatibly; loading accepts only
+#: this version.  Version 2 dropped the ``trainer.parallel`` config section.
+CHECKPOINT_FORMAT_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
 WEIGHTS_FILE = "weights.npz"
@@ -134,14 +135,11 @@ def read_manifest(path) -> dict:
         raise CheckpointError(f"no checkpoint manifest at {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
     version = manifest.get("format_version")
-    try:
-        version_ok = version is not None and int(version) <= CHECKPOINT_FORMAT_VERSION
-    except (TypeError, ValueError):
-        version_ok = False
-    if not version_ok:
+    if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint at {path} has format version {version!r}; this build "
-            f"supports versions <= {CHECKPOINT_FORMAT_VERSION}"
+            f"reads only version {CHECKPOINT_FORMAT_VERSION}; retrain the model "
+            f"with this build and save it again"
         )
     return manifest
 
@@ -222,13 +220,9 @@ def load_trainer_checkpoint(
         trainer.optimizer.load_state_dict(optimizer_state)
 
     trainer.load_extra_state(take("extra."))
-    clustering_meta = manifest.get("clustering_state")
-    if clustering_meta is not None:
-        # After the weights are loaded, so the relative last-fit parameter
-        # version anchors to the final counter.  Legacy manifests (without
-        # the section) predate the engine and start from a fresh one, which
-        # matches their training history (exact strategy, no carried state).
-        trainer.load_clustering_state(clustering_meta, take("clustering."))
+    # After the weights are loaded, so the relative last-fit parameter
+    # version anchors to the final counter.
+    trainer.load_clustering_state(manifest["clustering_state"], take("clustering."))
     trainer.set_rng_state(manifest["rng_state"])
     trainer.epochs_trained = int(manifest["epochs_trained"])
     history = manifest.get("history", {})

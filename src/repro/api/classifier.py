@@ -31,7 +31,6 @@ from ..core.callbacks import Callback
 from ..core.config import (
     ClusteringConfig,
     InferenceConfig,
-    ParallelConfig,
     SerializableConfig,
     TrainerConfig,
 )
@@ -224,25 +223,6 @@ class OpenWorldClassifier:
     def clustering_engine(self) -> ClusteringEngine:
         """The fitted trainer's clustering engine (refresh/refit counters)."""
         return self._require_fitted().clustering_engine
-
-    def configure_parallel(
-        self, parallel: Union[ParallelConfig, Mapping]
-    ) -> "OpenWorldClassifier":
-        """Swap the fitted model's parallel-execution settings.
-
-        Accepts a :class:`~repro.core.config.ParallelConfig` or a plain
-        dict (strict keys), e.g. ``{"backend": "processes", "n_jobs": 4}``.
-        The executor is stateless, so the swap keeps the embedding cache
-        and clustering warm-start state; results are unchanged by the
-        executor's bit-parity contract.  The new section is recorded in the
-        config, so subsequent :meth:`save` calls persist it.
-        """
-        if isinstance(parallel, Mapping):
-            parallel = ParallelConfig.from_dict(parallel)
-        trainer = self._require_fitted()
-        trainer.configure_parallel(parallel)
-        self.config = trainer.full_config
-        return self
 
     def as_service(self):
         """A :class:`repro.serve.PredictionService` owning this fitted model.

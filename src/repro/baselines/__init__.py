@@ -2,21 +2,13 @@
 
 Every baseline is a :class:`~repro.core.trainer.GraphTrainer` subclass that
 registers itself (with metadata) in the unified method registry
-:data:`repro.core.registry.METHODS` via the ``@register_method`` decorator.
-The legacy :data:`BASELINE_REGISTRY` / :func:`build_baseline` API is kept as
-a thin view over that registry for backwards compatibility — OpenIMA and the
-baselines are all constructed the same way now
+:data:`repro.core.registry.METHODS` via the ``@register_method`` decorator,
+so OpenIMA and the baselines are all constructed the same way
 (``repro.core.registry.build_method``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
-
-from ..core.config import TrainerConfig
-from ..core.registry import METHODS
-from ..core.trainer import GraphTrainer
-from ..datasets.splits import OpenWorldDataset
 from .oodgat import OODGATTrainer
 from .opencon import OpenConTrainer, OpenConTwoStageTrainer
 from .openldn import OpenLDNTrainer
@@ -24,32 +16,6 @@ from .openwgl import OpenWGLTrainer
 from .orca import ORCATrainer, ORCAZMTrainer
 from .simgcd import SimGCDTrainer
 from .two_stage import InfoNCESupConCETrainer, InfoNCESupConTrainer, InfoNCETrainer
-
-#: Compatibility view over the unified registry (everything but OpenIMA).
-#: The imports above ran every ``@register_method`` decorator, so the specs
-#: are present without triggering the registry's lazy self-import.
-BASELINE_REGISTRY: Dict[str, Type[GraphTrainer]] = {
-    spec.name: spec.trainer_cls
-    for spec in METHODS.specs()
-    if spec.name != "openima"
-}
-
-
-def available_baselines() -> list[str]:
-    """Names accepted by :func:`build_baseline` (lower-case)."""
-    return sorted(BASELINE_REGISTRY)
-
-
-def build_baseline(name: str, dataset: OpenWorldDataset,
-                   config: Optional[TrainerConfig] = None,
-                   num_novel_classes: Optional[int] = None, **kwargs) -> GraphTrainer:
-    """Instantiate a baseline trainer by its (case-insensitive) name."""
-    key = name.lower()
-    if key not in BASELINE_REGISTRY:
-        raise KeyError(f"unknown baseline {name!r}; available: {available_baselines()}")
-    return METHODS.build(key, dataset, config=config,
-                         num_novel_classes=num_novel_classes, **kwargs)
-
 
 __all__ = [
     "OODGATTrainer",
@@ -63,7 +29,4 @@ __all__ = [
     "InfoNCETrainer",
     "InfoNCESupConTrainer",
     "InfoNCESupConCETrainer",
-    "BASELINE_REGISTRY",
-    "available_baselines",
-    "build_baseline",
 ]

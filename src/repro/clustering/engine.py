@@ -62,7 +62,6 @@ from .kmeans import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import ClusteringConfig
-    from ..parallel import ParallelExecutor
 
 _REFRESH_SECONDS = REGISTRY.histogram(
     "repro_cluster_refresh_seconds",
@@ -132,8 +131,7 @@ class ClusteringEngine:
     """
 
     def __init__(self, config: Optional["ClusteringConfig"] = None, *,
-                 seed: int = 0, mini_batch: bool = False, batch_size: int = 1024,
-                 parallel: Optional["ParallelExecutor"] = None):
+                 seed: int = 0, mini_batch: bool = False, batch_size: int = 1024):
         if config is None:
             # Imported lazily: repro.core.trainer imports this package, so a
             # module-level import of repro.core.config would be circular.
@@ -141,10 +139,6 @@ class ClusteringEngine:
 
             config = ClusteringConfig()
         self.config = config
-        #: Optional multi-core dispatcher for the full assignment pass
-        #: (``repro.parallel``); ``None`` keeps the serial path.  Swappable
-        #: in place — it holds no clustering state.
-        self.parallel = parallel
         self.base_seed = int(seed if config.seed is None else config.seed)
         self.legacy_mini_batch = bool(mini_batch)
         self.legacy_batch_size = int(batch_size)
@@ -444,30 +438,9 @@ class ClusteringEngine:
         return self._reassign(data, centers), counts, (int(num_clusters),)
 
     def _reassign(self, data: np.ndarray, centers: np.ndarray) -> KMeansResult:
-        """Full chunked nearest-center assignment against fixed centroids.
-
-        With a parallel executor attached, the ``reassign_chunk_size``-row
-        ranges the serial pass would iterate are dispatched as independent
-        items and concatenated in order — each range runs the identical
-        distance-block computation, so the result is bit-identical to the
-        serial pass (asserted by ``tests/parallel/test_parity.py``).
-        """
-        chunk = int(self.config.reassign_chunk_size)
-        num_samples = data.shape[0]
-        executor = self.parallel
-        if (executor is not None and not executor.is_serial
-                and num_samples > chunk):
-            from ..parallel.workers import assign_labels_chunk
-
-            ranges = [(start, min(start + chunk, num_samples))
-                      for start in range(0, num_samples, chunk)]
-            parts = executor.map(
-                assign_labels_chunk, ranges,
-                payload=(data, centers, chunk), label="cluster.assign")
-            labels = np.concatenate([part[0] for part in parts])
-            min_sq = np.concatenate([part[1] for part in parts])
-        else:
-            labels, min_sq = _assign_labels(data, centers, chunk)
+        """Full chunked nearest-center assignment against fixed centroids."""
+        labels, min_sq = _assign_labels(data, centers,
+                                        int(self.config.reassign_chunk_size))
         return KMeansResult(labels=labels,
                             centers=np.array(centers, dtype=np.float64, copy=True),
                             inertia=float(min_sq.sum()), n_iter=0)

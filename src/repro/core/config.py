@@ -337,60 +337,6 @@ class OptimizerConfig(SerializableConfig):
     weight_decay: float = 1e-4
 
 
-#: Valid ``ParallelConfig.backend`` values.
-PARALLEL_BACKENDS = ("serial", "threads", "processes")
-
-
-@dataclass(frozen=True)
-class ParallelConfig(SerializableConfig):
-    """Multi-core execution settings (``repro.parallel``).
-
-    The executor maps a module-level worker over independent items —
-    clustering-assignment row ranges, layerwise-inference node chunks, the
-    experiment grid's (method, dataset, seed) cells — with **ordered
-    reduction**: results are reassembled in item order, so every parallel
-    result is bit-identical to the serial path regardless of worker
-    scheduling.  Per-item RNG streams are spawned via
-    ``np.random.SeedSequence.spawn`` from a single root, one child per
-    *item* (not per dispatched chunk), which makes results independent of
-    ``backend``, ``n_jobs``, and ``chunk_size`` alike.
-
-    Attributes
-    ----------
-    backend:
-        ``"serial"`` (default) runs in the calling thread — zero overhead,
-        the historical behavior.  ``"threads"`` uses a thread pool (BLAS
-        matmuls release the GIL, so the dense assignment/inference kernels
-        scale).  ``"processes"`` uses a process pool; on platforms with
-        ``fork`` the shared payload is inherited copy-on-write, so large
-        arrays are never pickled.
-    n_jobs:
-        Worker count.  ``0`` means "all available cores"
-        (``os.sched_getaffinity`` when present, else ``os.cpu_count``);
-        ``1`` degenerates to the serial path for any backend.
-    chunk_size:
-        Items grouped per dispatched task.  ``0`` (default) splits the item
-        list evenly across ``n_jobs`` workers.
-    """
-
-    backend: str = "serial"
-    n_jobs: int = 1
-    chunk_size: int = 0
-
-    def __post_init__(self):
-        if self.backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {self.backend!r}; "
-                f"expected one of {PARALLEL_BACKENDS}"
-            )
-        if int(self.n_jobs) < 0:
-            raise ValueError(
-                f"parallel n_jobs must be >= 0 (0 = all cores), got {self.n_jobs}")
-        if int(self.chunk_size) < 0:
-            raise ValueError(
-                f"parallel chunk_size must be >= 0 (0 = auto), got {self.chunk_size}")
-
-
 @dataclass(frozen=True)
 class TrainerConfig(SerializableConfig):
     """Shared training-loop settings for all methods.
@@ -405,7 +351,6 @@ class TrainerConfig(SerializableConfig):
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     inference: InferenceConfig = field(default_factory=InferenceConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
     max_epochs: int = 20
     batch_size: int = 2048
     temperature: float = 0.7
@@ -462,8 +407,7 @@ def fast_config(max_epochs: int = 8, seed: int = 0, encoder_kind: str = "gcn",
                 batch_size: int = 512, backend: str = "sparse",
                 eval_every: int = 0,
                 sampling: Optional[SamplingConfig] = None,
-                clustering: Optional[ClusteringConfig] = None,
-                parallel: Optional[ParallelConfig] = None) -> TrainerConfig:
+                clustering: Optional[ClusteringConfig] = None) -> TrainerConfig:
     """A small configuration used by tests, the CLI, and the benchmark harness."""
     return TrainerConfig(
         encoder=EncoderConfig(kind=encoder_kind, hidden_dim=32, out_dim=16, num_heads=2,
@@ -471,7 +415,6 @@ def fast_config(max_epochs: int = 8, seed: int = 0, encoder_kind: str = "gcn",
         optimizer=OptimizerConfig(learning_rate=5e-3, weight_decay=1e-4),
         sampling=sampling if sampling is not None else SamplingConfig(),
         clustering=clustering if clustering is not None else ClusteringConfig(),
-        parallel=parallel if parallel is not None else ParallelConfig(),
         max_epochs=max_epochs,
         batch_size=batch_size,
         seed=seed,

@@ -105,10 +105,6 @@ class OpenIMATrainer(GraphTrainer):
         super().configure_clustering(clustering)
         self.openima_config = self.openima_config.with_updates(trainer=self.config)
 
-    def configure_parallel(self, parallel) -> None:
-        super().configure_parallel(parallel)
-        self.openima_config = self.openima_config.with_updates(trainer=self.config)
-
     def extra_state(self) -> Dict[str, np.ndarray]:
         # The pseudo-label lookup is the only cross-epoch state the loss
         # depends on; persisting it keeps resumed runs exact even when

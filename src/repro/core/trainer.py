@@ -25,11 +25,9 @@ from ..nn.optim import Adam
 from ..nn.tensor import Tensor, no_grad
 from ..obs import span as _obs_span
 from .callbacks import Callback, CallbackList, EvaluationCallback
-from ..parallel import ParallelExecutor
 from .config import (
     ClusteringConfig,
     InferenceConfig,
-    ParallelConfig,
     SerializableConfig,
     TrainerConfig,
 )
@@ -112,17 +110,11 @@ class GraphTrainer:
                 rng=self._sampling_rng if self._sampling_rng is not None else self.rng,
             )
 
-        #: Multi-core dispatcher shared by the inference and clustering
-        #: engines (see repro.parallel); serial by default, so existing
-        #: configs behave exactly as before.
-        self.parallel_executor = ParallelExecutor(config.parallel)
-
         #: Deterministic all-node inference: layerwise/full mode selection
         #: plus the parameter-version-keyed embedding cache, so pseudo-label
         #: refresh, evaluation, and prediction against unchanged parameters
         #: share a single encoder forward (see repro.inference).
-        self.inference_engine = InferenceEngine(config.inference,
-                                                parallel=self.parallel_executor)
+        self.inference_engine = InferenceEngine(config.inference)
 
         #: Strategy-based clustering (see repro.clustering.engine): the
         #: pseudo-label refresh runs through its stateful path (warm-started
@@ -195,16 +187,12 @@ class GraphTrainer:
         Encoder dropout layers (and, unless ``sampling.seed`` is set, the
         neighborhood sampler) share the trainer generator, so restoring it
         makes a resumed run draw the exact noise an uninterrupted run would
-        have drawn.  Accepts both the current ``{"trainer": ...}`` layout
-        and the bare numpy state stored by pre-sampling checkpoints.
+        have drawn.
         """
-        if "trainer" in state:
-            self.rng.bit_generator.state = state["trainer"]
-            sampling_state = state.get("sampling")
-            if sampling_state is not None and self._sampling_rng is not None:
-                self._sampling_rng.bit_generator.state = sampling_state
-        else:
-            self.rng.bit_generator.state = state
+        self.rng.bit_generator.state = state["trainer"]
+        sampling_state = state.get("sampling")
+        if sampling_state is not None and self._sampling_rng is not None:
+            self._sampling_rng.bit_generator.state = sampling_state
 
     def clustering_state(self) -> tuple:
         """Checkpointable clustering-engine state ``(meta, arrays)``.
@@ -353,8 +341,7 @@ class GraphTrainer:
         new section in ``self.config`` so subsequent checkpoints persist it.
         """
         self.config = self.config.with_updates(inference=inference)
-        self.inference_engine = InferenceEngine(inference,
-                                                parallel=self.parallel_executor)
+        self.inference_engine = InferenceEngine(inference)
 
     def _build_clustering_engine(self, clustering: ClusteringConfig) -> ClusteringEngine:
         """One engine-wiring site for construction and reconfiguration.
@@ -367,23 +354,7 @@ class GraphTrainer:
             seed=self.config.seed,
             mini_batch=self.config.mini_batch_kmeans,
             batch_size=self.config.kmeans_batch_size,
-            parallel=self.parallel_executor,
         )
-
-    def configure_parallel(self, parallel: ParallelConfig) -> None:
-        """Swap the parallel-execution settings (backend, worker count).
-
-        The executor is stateless, so it is replaced in place on both
-        engines — no embedding cache is dropped and no clustering
-        warm-start state is lost — and the new section is recorded in
-        ``self.config`` so subsequent checkpoints persist it.  Results are
-        unchanged by construction (the executor's bit-parity contract);
-        only the wall-clock changes.
-        """
-        self.config = self.config.with_updates(parallel=parallel)
-        self.parallel_executor = ParallelExecutor(parallel)
-        self.inference_engine.parallel = self.parallel_executor
-        self.clustering_engine.parallel = self.parallel_executor
 
     def configure_clustering(self, clustering: ClusteringConfig) -> None:
         """Swap the clustering settings (strategy, sampling, warm start).

@@ -62,7 +62,7 @@ from ..core.registry import METHODS, available_methods, get_method
 from ..datasets.registry import available_datasets, get_profile
 from .figures import build_figure1b, build_figure2
 from .persistence import save_results
-from .runner import ExperimentConfig
+from .runner import PARALLEL_BACKENDS, ExperimentConfig
 from .tables import (
     build_table2,
     build_table3,
@@ -109,19 +109,6 @@ def _add_training_options(parser: argparse.ArgumentParser) -> None:
                              "subgraph (khop), or fanout-capped expansion "
                              "(sampled); fine-tune with --set "
                              "sampling.fanouts=[10,10] etc. (default: full)")
-    parser.add_argument("--n-jobs", type=int, default=1,
-                        help="worker count for the parallel execution layer "
-                             "(repro.parallel): clustering assignment and "
-                             "layer-wise inference chunks on run/stream, plus "
-                             "the method x seed grid on table/figure "
-                             "commands; 0 = all cores, 1 = serial "
-                             "(default: 1); results are bit-identical to "
-                             "serial at any setting")
-    parser.add_argument("--parallel-backend",
-                        choices=("serial", "threads", "processes"),
-                        default="processes",
-                        help="pool backend used when --n-jobs != 1 "
-                             "(default: processes)")
     parser.add_argument("--output", type=str, default=None,
                         help="optional path for a JSON copy of the results")
 
@@ -133,6 +120,15 @@ def _add_experiment_subparser(subparsers, name: str, help_text: str) -> None:
                         help="training epochs for end-to-end methods (default: 3x --epochs)")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
                         help="split seeds to average over (default: 0)")
+    parser.add_argument("--n-jobs", type=int, default=1,
+                        help="workers running the method x dataset x seed "
+                             "grid cells; 0 = all cores, 1 = serial "
+                             "(default: 1); results are bit-identical to "
+                             "serial at any setting")
+    parser.add_argument("--parallel-backend", choices=PARALLEL_BACKENDS,
+                        default="processes",
+                        help="pool backend used when --n-jobs != 1 "
+                             "(default: processes)")
     parser.set_defaults(handler=_handle_experiment)
 
 
@@ -347,21 +343,6 @@ def experiment_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
-def parallel_config_from_args(args: argparse.Namespace):
-    """Translate ``--n-jobs`` / ``--parallel-backend`` into a ParallelConfig.
-
-    ``--n-jobs 1`` (the default) stays on the serial backend so default runs
-    never touch a pool; any other value enables the requested backend.  The
-    executor's ordered per-item-seeded reduction keeps results bit-identical
-    either way.
-    """
-    from ..core.config import ParallelConfig
-
-    if int(args.n_jobs) == 1:
-        return ParallelConfig()
-    return ParallelConfig(backend=args.parallel_backend, n_jobs=args.n_jobs)
-
-
 # ----------------------------------------------------------------------
 # Subcommand handlers
 # ----------------------------------------------------------------------
@@ -424,7 +405,6 @@ def _handle_run(args: argparse.Namespace) -> dict:
         encoder_kind=args.encoder, batch_size=args.batch_size,
         backend=args.backend, eval_every=args.eval_every,
         sampling=SamplingConfig(mode=args.sampling_mode),
-        parallel=parallel_config_from_args(args),
     )
 
     overrides = parse_set_overrides(args.overrides)
@@ -644,7 +624,6 @@ def _handle_stream(args: argparse.Namespace) -> dict:
         backend=args.backend, eval_every=args.eval_every,
         sampling=SamplingConfig(mode=args.sampling_mode),
         clustering=clustering,
-        parallel=parallel_config_from_args(args),
     )
     overrides = parse_set_overrides(args.overrides)
     if spec.config_cls is OpenIMAConfig:

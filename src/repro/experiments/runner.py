@@ -9,14 +9,16 @@ and the SC&ACC analysis.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..core.config import (
-    PARALLEL_BACKENDS,
-    ParallelConfig,
     SamplingConfig,
     SerializableConfig,
     TrainerConfig,
@@ -29,6 +31,15 @@ from ..datasets.splits import OpenWorldDataset
 from ..metrics.accuracy import OpenWorldAccuracy, open_world_accuracy
 from ..metrics.selection import score_candidate
 from ..metrics.variance import variance_imbalance_report
+from ..obs import EVENTS, REGISTRY
+
+#: Valid ``ExperimentConfig.parallel_backend`` values.
+PARALLEL_BACKENDS = ("serial", "threads", "processes")
+
+_FALLBACKS = REGISTRY.counter(
+    "repro_parallel_serial_fallbacks_total",
+    "Experiment grids whose pool failed and that re-ran serially, by reason.",
+    labelnames=("reason",))
 
 
 @dataclass
@@ -95,15 +106,6 @@ class AggregatedResult:
         return self._mean("silhouette")
 
 
-def __getattr__(name: str):
-    # Backwards-compatible lazy attribute (PEP 562): the end-to-end method
-    # set is derived from the per-method registry metadata — no hardcoded
-    # name list, and no eager import of every baseline at module load.
-    if name == "END_TO_END_METHODS":
-        return frozenset(METHODS.end_to_end_names())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass
 class ExperimentConfig(SerializableConfig):
     """Controls the scale of an experiment sweep.
@@ -117,11 +119,12 @@ class ExperimentConfig(SerializableConfig):
     (``full`` / ``khop`` / ``sampled``, see
     :class:`repro.core.config.SamplingConfig`).
 
-    ``n_jobs`` > 1 runs the method x dataset x seed grid cells through a
-    :class:`repro.parallel.ParallelExecutor` on ``parallel_backend``
-    (default ``processes``).  Each cell is seeded entirely by its own
-    ``(method, dataset, seed)``, so cells are independent and the grid
-    result is bit-identical to the serial loop in any backend.
+    ``n_jobs`` != 1 runs the method x dataset x seed grid cells on a
+    ``concurrent.futures`` pool picked by ``parallel_backend`` (default
+    ``processes``); ``0`` means every usable core.  Each cell is seeded
+    entirely by its own ``(method, dataset, seed)``, so cells are
+    independent and the grid result is bit-identical to the serial loop in
+    any backend.
     """
 
     scale: float = 0.35
@@ -247,10 +250,9 @@ def run_grid_cell(
 ) -> RunResult:
     """Train and evaluate one (method, dataset, seed) grid cell.
 
-    The unit of work for both the serial loop and the parallel grid
-    (:func:`repro.parallel.workers.run_experiment_cell`); keeping it
-    module-level means the process-pool path and the in-process path run
-    the same code, cell for cell.
+    The unit of work for both the serial loop and the worker pool; keeping
+    it module-level lets it pickle to a process pool (lint rule R9), so both
+    paths run the same code, cell for cell.
     """
     dataset = load_open_world_dataset(
         dataset_name,
@@ -268,31 +270,57 @@ def run_grid_cell(
     return evaluate_trainer(trainer, dataset, method, seed)
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_cells(
     cells: List[tuple],
     experiment: ExperimentConfig,
 ) -> List[RunResult]:
-    """Ordered cell results, dispatched in parallel when ``n_jobs`` > 1.
+    """Ordered cell results, run on a worker pool when ``n_jobs`` != 1.
 
-    ``cells`` are ``(method, dataset_name, seed)`` triples.  Every random
-    draw in a cell flows from generators keyed on its own seed, so the
-    ordered parallel reduction returns exactly what the serial loop would.
+    ``cells`` are ``(method, dataset_name, seed, num_novel_classes,
+    openima_overrides)`` tuples.  Every random draw in a cell flows from
+    generators keyed on its own seed, so collecting the futures in cell
+    order returns exactly what the serial loop would.  An exception in a
+    cell (``KeyboardInterrupt`` included) cancels the queued cells, joins
+    the pool and re-raises.  A pool that breaks or cannot start re-runs
+    every cell serially.
+
+    Process workers fork from a forkserver, never from the caller: the
+    caller may run other threads (e.g. a background server) whose held
+    locks a forked child would inherit.  The server preloads this module
+    once per process, so later pools start without re-importing numpy as
+    spawned workers would (about 2 s per pool on 2 cores; the figure
+    commands open one pool per swept parameter value).
     """
-    if int(experiment.n_jobs) == 1 or len(cells) <= 1:
-        return [
-            run_grid_cell(method, dataset_name, seed, experiment)
-            for method, dataset_name, seed in cells
-        ]
-    from ..parallel import ParallelExecutor
-    from ..parallel.workers import run_experiment_cell
-
-    executor = ParallelExecutor(ParallelConfig(
-        backend=experiment.parallel_backend, n_jobs=experiment.n_jobs,
-        chunk_size=1))
-    experiment_dict = experiment.to_dict()
-    items = [(method, dataset_name, seed, experiment_dict, None, None)
-             for method, dataset_name, seed in cells]
-    return executor.map(run_experiment_cell, items, label="experiments.grid")
+    calls = [(method, dataset_name, seed, experiment, num_novel, overrides)
+             for method, dataset_name, seed, num_novel, overrides in cells]
+    workers = min(int(experiment.n_jobs) or _usable_cores(), len(calls))
+    if experiment.parallel_backend == "serial" or workers <= 1:
+        return [run_grid_cell(*call) for call in calls]
+    try:
+        if experiment.parallel_backend == "threads":
+            pool = ThreadPoolExecutor(max_workers=workers)
+        else:
+            context = multiprocessing.get_context("forkserver")
+            context.set_forkserver_preload([__name__])
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        try:
+            futures = [pool.submit(run_grid_cell, *call) for call in calls]
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    except (BrokenExecutor, OSError, pickle.PicklingError) as exc:
+        _FALLBACKS.inc(reason=type(exc).__name__)
+        EVENTS.warning(f"experiment grid fell back to serial: {exc}",
+                       source="experiments",
+                       backend=experiment.parallel_backend,
+                       error=type(exc).__name__)
+        return [run_grid_cell(*call) for call in calls]
 
 
 def run_method(
@@ -303,19 +331,10 @@ def run_method(
     openima_overrides: Optional[dict] = None,
 ) -> AggregatedResult:
     """Train ``method`` on ``dataset_name`` for every configured seed."""
-    aggregated = AggregatedResult(method=method, dataset=dataset_name)
-    if (num_novel_classes is None and openima_overrides is None
-            and int(experiment.n_jobs) != 1):
-        cells = [(method, dataset_name, seed) for seed in experiment.seeds]
-        aggregated.runs.extend(_run_cells(cells, experiment))
-        return aggregated
-    for seed in experiment.seeds:
-        aggregated.runs.append(run_grid_cell(
-            method, dataset_name, seed, experiment,
-            num_novel_classes=num_novel_classes,
-            openima_overrides=openima_overrides,
-        ))
-    return aggregated
+    cells = [(method, dataset_name, seed, num_novel_classes, openima_overrides)
+             for seed in experiment.seeds]
+    return AggregatedResult(method=method, dataset=dataset_name,
+                            runs=_run_cells(cells, experiment))
 
 
 def run_methods(
@@ -326,23 +345,16 @@ def run_methods(
 ) -> Dict[str, AggregatedResult]:
     """Run several methods on the same dataset profile.
 
-    With ``experiment.n_jobs`` != 1 the whole method x seed grid is
-    flattened into one parallel dispatch, so long and short methods
-    interleave across workers instead of serializing per method.
+    The whole method x seed grid goes to :func:`_run_cells` at once, so
+    with ``experiment.n_jobs`` != 1 long and short methods interleave
+    across workers instead of serializing per method.
     """
-    if num_novel_classes is None and int(experiment.n_jobs) != 1:
-        cells = [(method, dataset_name, seed)
-                 for method in methods for seed in experiment.seeds]
-        results = _run_cells(cells, experiment)
-        grouped: Dict[str, AggregatedResult] = {
-            method: AggregatedResult(method=method, dataset=dataset_name)
-            for method in methods
-        }
-        for (method, _, _), run in zip(cells, results):
-            grouped[method].runs.append(run)
-        return grouped
-    return {
-        method: run_method(method, dataset_name, experiment,
-                           num_novel_classes=num_novel_classes)
+    cells = [(method, dataset_name, seed, num_novel_classes, None)
+             for method in methods for seed in experiment.seeds]
+    grouped: Dict[str, AggregatedResult] = {
+        method: AggregatedResult(method=method, dataset=dataset_name)
         for method in methods
     }
+    for cell, run in zip(cells, _run_cells(cells, experiment)):
+        grouped[cell[0]].runs.append(run)
+    return grouped

@@ -8,14 +8,6 @@ from .generators import (
 )
 from .delta import GraphDelta
 from .graph import Graph
-from .partition import (
-    GraphPartition,
-    compute_shard_embeddings,
-    extract_shard,
-    partition_batches,
-    partition_graph,
-    sharded_embeddings,
-)
 from .sampling import (
     NeighborSampler,
     SubgraphBatch,
@@ -35,12 +27,6 @@ from .utils import (
 __all__ = [
     "Graph",
     "GraphDelta",
-    "GraphPartition",
-    "partition_graph",
-    "extract_shard",
-    "compute_shard_embeddings",
-    "sharded_embeddings",
-    "partition_batches",
     "NeighborSampler",
     "SubgraphBatch",
     "build_edge_csr",

@@ -38,15 +38,13 @@ _REFRESHES = REGISTRY.counter(
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.config import InferenceConfig
-    from ..parallel import ParallelExecutor
     from ..streaming.dynamic import DeltaReport
 
 
 class InferenceEngine:
     """Compute (or reuse) deterministic all-node embeddings for an encoder."""
 
-    def __init__(self, config: Optional["InferenceConfig"] = None, *,
-                 parallel: Optional["ParallelExecutor"] = None):
+    def __init__(self, config: Optional["InferenceConfig"] = None):
         if config is None:
             # Imported lazily: repro.core.trainer imports this module, so a
             # module-level import of repro.core.config would be circular.
@@ -57,23 +55,13 @@ class InferenceEngine:
         self.cache: Optional[EmbeddingCache] = (
             EmbeddingCache() if self.config.cache else None
         )
-        self._layerwise = LayerwiseInference(chunk_size=self.config.chunk_size,
-                                             parallel=parallel)
+        self._layerwise = LayerwiseInference(chunk_size=self.config.chunk_size)
         #: Number of embedding passes actually computed (cache hits excluded).
         self.forward_count = 0
         #: Deltas served by patching the cached array (no full pass).
         self.partial_refresh_count = 0
         #: Deltas that fell back to a full recompute (threshold/stale base).
         self.full_refresh_count = 0
-
-    @property
-    def parallel(self) -> Optional["ParallelExecutor"]:
-        """The multi-core dispatcher for layerwise chunks (``None`` = serial)."""
-        return self._layerwise.parallel
-
-    @parallel.setter
-    def parallel(self, executor: Optional["ParallelExecutor"]) -> None:
-        self._layerwise.parallel = executor
 
     # ------------------------------------------------------------------
     # Policy

@@ -29,15 +29,10 @@ and ``chunk_size > N`` (``tests/inference/test_layerwise.py``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 import numpy as np
 
 from ..graphs.graph import Graph
 from ..obs import REGISTRY, span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..parallel import ParallelExecutor
 
 #: Default number of node rows computed per chunk.
 DEFAULT_CHUNK_SIZE = 4096
@@ -48,25 +43,13 @@ _LAYER_SECONDS = REGISTRY.histogram(
 
 
 class LayerwiseInference:
-    """Chunked layer-by-layer evaluation of a GNN encoder on all nodes.
+    """Chunked layer-by-layer evaluation of a GNN encoder on all nodes."""
 
-    With a :class:`~repro.parallel.ParallelExecutor` attached, each layer's
-    node chunks — the exact ranges the serial loop iterates — are dispatched
-    as independent items and written back in order, so the result is
-    bit-identical to the serial pass.  ``step.prepare`` runs in the parent
-    before dispatch (pre-fork, so process workers inherit the prepared
-    buffers copy-on-write) and chunks only read the shared ``(step, h)``
-    payload.
-    """
-
-    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 parallel: Optional["ParallelExecutor"] = None):
+    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE):
         chunk_size = int(chunk_size)
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = chunk_size
-        #: Optional multi-core dispatcher; ``None`` keeps the serial loop.
-        self.parallel = parallel
 
     def run(self, encoder, graph: Graph) -> np.ndarray:
         """Deterministic all-node embeddings, equal to ``encoder.embed``."""
@@ -79,27 +62,14 @@ class LayerwiseInference:
         steps = plan(graph)
         num_nodes = graph.num_nodes
         h = np.asarray(graph.features, dtype=np.float64)
-        executor = self.parallel
-        use_parallel = (executor is not None and not executor.is_serial
-                        and num_nodes > self.chunk_size)
         for index, step in enumerate(steps):
             with _LAYER_SECONDS.time(), \
                     span("inference.layer", layer=index):
                 step.prepare(h, self.chunk_size)
                 out = np.empty((num_nodes, step.out_dim), dtype=np.float64)
-                ranges = [(start, min(start + self.chunk_size, num_nodes))
-                          for start in range(0, num_nodes, self.chunk_size)]
-                if use_parallel:
-                    from ..parallel.workers import layerwise_chunk
-
-                    blocks = executor.map(
-                        layerwise_chunk, ranges, payload=(step, h),
-                        label="inference.layerwise")
-                    for (start, stop), block in zip(ranges, blocks):
-                        out[start:stop] = block
-                else:
-                    for start, stop in ranges:
-                        out[start:stop] = step.compute(h, start, stop)
+                for start in range(0, num_nodes, self.chunk_size):
+                    stop = min(start + self.chunk_size, num_nodes)
+                    out[start:stop] = step.compute(h, start, stop)
                 step.finish()
                 h = out
         return h

@@ -31,8 +31,8 @@ class _GradState(threading.local):
     """Per-thread grad-recording flag.
 
     Thread-local (not a module global) so a ``no_grad()`` block in one
-    thread — e.g. a threads-backend :class:`repro.parallel.ParallelExecutor`
-    worker running inference — can never switch off graph recording for a
+    thread — e.g. a serving thread running inference, or an experiment-grid
+    cell on the threads backend — can never switch off graph recording for a
     training step running concurrently in another thread.  Each thread
     starts with recording enabled.
     """

@@ -233,8 +233,8 @@ class TestR9PicklablePoolWorker:
         assert {"R9"} == {finding.rule for finding in findings}
 
     def test_shipped_workers_module_is_clean(self):
-        workers = (Path(__file__).parents[2] / "src" / "repro" / "parallel"
-                   / "workers.py")
+        workers = (Path(__file__).parents[2] / "src" / "repro" / "experiments"
+                   / "runner.py")
         findings = Analyzer(rules=DEFAULT_RULES.create(["R9"])).check_source(
             workers.read_text(encoding="utf-8"), PurePath(workers.as_posix()))
         assert findings == []

@@ -3,8 +3,7 @@
 With ``warm_start=True`` (or the ``online`` strategy) the pseudo-label
 refresh depends on centroids, running counts, and the engine RNG carried
 across epochs — all of which must survive a save/load cycle for a resumed
-run to match an uninterrupted one bit for bit.  Legacy manifests written
-before the engine existed must still load (fresh engine, exact strategy).
+run to match an uninterrupted one bit for bit.
 """
 
 from __future__ import annotations
@@ -92,25 +91,3 @@ class TestWarmStartResumeParity:
         with np.load(tmp_path / "ckpt" / WEIGHTS_FILE) as bundle:
             assert not any(name.startswith("clustering.")
                            for name in bundle.files)
-
-
-class TestLegacyManifests:
-    def test_manifest_without_clustering_state_loads(self, tmp_path):
-        clf = warm_classifier(ClusteringConfig(), max_epochs=2).fit(
-            "citeseer", **TINY)
-        clf.save(tmp_path / "ckpt")
-        manifest_path = tmp_path / "ckpt" / MANIFEST_FILE
-        manifest = json.loads(manifest_path.read_text())
-        # Strip the engine section (and the config key) the way a pre-engine
-        # checkpoint would look.
-        del manifest["clustering_state"]
-        manifest["config"]["trainer"].pop("clustering", None)
-        manifest_path.write_text(json.dumps(manifest))
-
-        restored = OpenWorldClassifier.load(tmp_path / "ckpt")
-        assert restored.trainer_.config.clustering == ClusteringConfig()
-        assert np.array_equal(restored.predict(), clf.predict())
-        # Resuming from the fresh engine matches, because legacy histories
-        # never used warm-start state.
-        restored.fit(max_epochs=3)
-        assert restored.epochs_trained == 3

@@ -108,12 +108,6 @@ class TestRngStateFormats:
         other.set_rng_state(state)
         assert other.rng_state() == state
 
-    def test_accepts_legacy_bare_numpy_state(self, small_dataset):
-        trainer = InfoNCETrainer(small_dataset, sampled_config("full"))
-        legacy = np.random.default_rng(99).bit_generator.state
-        trainer.set_rng_state(legacy)  # pre-sampling checkpoint layout
-        assert trainer.rng.bit_generator.state["state"] == legacy["state"]
-
 
 class TestCheckpointResumeParity:
     def test_khop_resume_matches_uninterrupted(self, tmp_path):

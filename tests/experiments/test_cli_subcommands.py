@@ -38,6 +38,14 @@ class TestParser:
         assert args.backend == "dense"
         assert args.eval_every == 2
 
+    def test_grid_pool_flags_only_on_table_and_figure_commands(self):
+        args = build_parser().parse_args(
+            ["fig2", "--n-jobs", "0", "--parallel-backend", "threads"])
+        assert (args.n_jobs, args.parallel_backend) == (0, "threads")
+        for command in (TINY_RUN, ["stream", "--dataset", "citeseer"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--n-jobs", "2"])
+
 
 class TestSetOverrides:
     def test_dotted_keys_nest(self):
