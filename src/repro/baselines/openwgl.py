@@ -24,7 +24,7 @@ from ..core.registry import register_method
 from ..core.trainer import GraphTrainer
 from ..datasets.splits import OpenWorldDataset
 from ..nn import functional as F
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 
 
 @register_method(
@@ -73,11 +73,9 @@ class OpenWGLTrainer(GraphTrainer):
 
     def _mean_confidence(self, num_samples: int) -> np.ndarray:
         """Maximum seen-class probability averaged over stochastic passes."""
-        from ..nn.tensor import no_grad
-
-        self.encoder.train()  # keep dropout active for uncertainty sampling
         accumulated = None
-        with no_grad():
+        # Dropout stays active for uncertainty sampling.
+        with self.encoder.training_mode(True), no_grad():
             for _ in range(num_samples):
                 embeddings = self.encoder(self.dataset.graph).numpy()
                 logits = embeddings @ self.head.linear.weight.data
@@ -85,7 +83,6 @@ class OpenWGLTrainer(GraphTrainer):
                 probabilities = _softmax_np(seen)
                 confidence = probabilities.max(axis=1)
                 accumulated = confidence if accumulated is None else accumulated + confidence
-        self.encoder.eval()
         return accumulated / num_samples
 
     def predict(self, num_novel_classes: Optional[int] = None,

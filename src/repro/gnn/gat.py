@@ -20,47 +20,29 @@ of edges (incl. self loops), ``H`` the head count, and ``d`` the per-head
 width.  ``backend="dense"`` materializes the per-head N x N attention matrix
 (masked softmax + dense matmul); it is O(N^2) and exists as the reference
 implementation for the parity tests in ``tests/gnn/test_backend_parity.py``.
+
+The sparse forward is two halves: :meth:`GATLayer.project` (per node) and
+:meth:`GATLayer.attend` (per edge, over any set of targets' incoming edges).
+Training composes them over the whole graph; layer-wise inference
+(:meth:`GATEncoder.layerwise_plan`) runs the per-edge half per chunk of
+targets, so both use one attention kernel.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..graphs.sampling import build_edge_csr
 from ..graphs.utils import add_self_loops
 from ..nn import functional as F
 from ..nn.init import glorot_uniform
 from ..nn.layers import Dropout, Module, Parameter
-from ..nn.tensor import Tensor, cat
+from ..nn.tensor import Tensor, cat, no_grad
 from .backends import check_backend
-
-
-def _dense_attention_mask(src: np.ndarray, dst: np.ndarray,
-                          has_incoming: np.ndarray, num_nodes: int,
-                          start: int, stop: int) -> tuple:
-    """Rows ``[start, stop)`` of the dense additive attention mask + row gate.
-
-    ``src``/``dst`` must contain exactly the edges whose destination lies in
-    ``[start, stop)``.  The mask is log(multiplicity): 0 on single edges,
-    -inf on non-edges, so the row softmax over sources matches the segment
-    softmax over incoming edges — a duplicated directed edge carries its
-    attention mass once per copy, exactly like the edge list.  Rows of nodes
-    with no incoming edges would softmax to 0/0 = NaN; they are left
-    unmasked here and zeroed through the returned row gate instead, matching
-    the all-zero rows the sparse scatter-add produces.  Shared by the full
-    dense forward (called with the whole range) and the layer-wise dense
-    step (called per chunk), so the parity-critical arithmetic exists once.
-    """
-    multiplicity = np.zeros((stop - start, num_nodes))
-    np.add.at(multiplicity, (dst - start, src), 1.0)
-    with np.errstate(divide="ignore"):
-        mask = np.log(multiplicity)
-    rows_incoming = has_incoming[start:stop]
-    mask[~rows_incoming] = 0.0
-    row_gate = rows_incoming.astype(np.float64).reshape(-1, 1)
-    return mask, row_gate
 
 
 class GATLayer(Module):
@@ -105,39 +87,66 @@ class GATLayer(Module):
         x = self.feat_dropout(x)
         if self.backend == "dense":
             return self._forward_dense(x, edge_index, num_nodes)
-        return self._forward_sparse(x, edge_index, num_nodes)
-
-    def _forward_sparse(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
-        """Edge-list attention, vectorized over every head at once."""
         src, dst = edge_index
+        return self.attend(*self.project(x), src, dst)
 
+    def project(self, x: Tensor) -> tuple:
+        """Per-node half of the sparse forward, vectorized over every head.
+
+        Returns ``(projected, score_src, score_dst)`` of shapes ``(N, H, O)``,
+        ``(N, H)`` and ``(N, H)``: each node's projection and its attention
+        scores as an edge source and as an edge target.
+        """
         # (N, F) @ (H, F, O) -> (H, N, O) -> (N, H, O): one batched matmul
         # instead of a Python loop over heads.
         projected = x.matmul(self.weight).transpose((1, 0, 2))
-        score_src = (projected * self.att_src).sum(axis=-1)  # (N, H)
-        score_dst = (projected * self.att_dst).sum(axis=-1)  # (N, H)
+        score_src = (projected * self.att_src).sum(axis=-1)
+        score_dst = (projected * self.att_dst).sum(axis=-1)
+        return projected, score_src, score_dst
 
+    def attend(self, projected: Tensor, score_src: Tensor, score_dst: Tensor,
+               src: np.ndarray, dst: np.ndarray) -> Tensor:
+        """Per-edge half: attention over the incoming edges of a set of targets.
+
+        ``score_dst`` holds one row per target and ``dst`` indexes those
+        rows; ``src`` indexes rows of ``projected`` and ``score_src``.  The
+        edges must be every incoming edge of each target, since the softmax
+        normalizes over them.  Returns one output row per target.
+        """
+        num_targets = score_dst.shape[0]
         edge_scores = (
             score_src.gather_rows(src) + score_dst.gather_rows(dst)
         ).leaky_relu(self.negative_slope)  # (E, H)
-        alpha = F.segment_softmax(edge_scores, dst, num_nodes)
+        alpha = F.segment_softmax(edge_scores, dst, num_targets)
         alpha = self.att_dropout(alpha)
 
         messages = projected.gather_rows(src) * alpha.reshape(-1, self.num_heads, 1)
-        aggregated = messages.scatter_add_rows(dst, num_nodes)  # (N, H, O)
+        aggregated = messages.scatter_add_rows(dst, num_targets)  # (T, H, O)
 
         if self.concat_heads:
-            return aggregated.reshape(num_nodes, self.num_heads * self.out_features)
+            return aggregated.reshape(num_targets, self.num_heads * self.out_features)
         return aggregated.mean(axis=1)
 
     def _forward_dense(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
-        """Reference path: per-head masked N x N attention (O(N^2) memory)."""
+        """Reference path: per-head masked N x N attention (O(N^2) memory).
+
+        The additive mask is log(multiplicity): 0 on single edges, -inf on
+        non-edges, so the row softmax over sources matches the segment
+        softmax over incoming edges; a duplicated directed edge carries its
+        attention mass once per copy, exactly like the edge list.  Rows of
+        nodes with no incoming edges would softmax to 0/0 = NaN; they are
+        left unmasked and zeroed through ``row_gate`` instead, matching the
+        all-zero rows the sparse scatter-add produces.
+        """
         src, dst = edge_index
+        multiplicity = np.zeros((num_nodes, num_nodes))
+        np.add.at(multiplicity, (dst, src), 1.0)
+        with np.errstate(divide="ignore"):
+            mask = np.log(multiplicity)
         has_incoming = np.zeros(num_nodes, dtype=bool)
         has_incoming[dst] = True
-        mask, row_gate_np = _dense_attention_mask(src, dst, has_incoming,
-                                                  num_nodes, 0, num_nodes)
-        row_gate = Tensor(row_gate_np)
+        mask[~has_incoming] = 0.0
+        row_gate = Tensor(has_incoming.astype(np.float64).reshape(-1, 1))
 
         head_outputs = []
         for head in range(self.num_heads):
@@ -217,213 +226,49 @@ class GATEncoder(Module):
 
     def embed(self, graph: Graph) -> np.ndarray:
         """Inference-mode embeddings as a plain numpy array."""
-        from ..nn.tensor import no_grad
-
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                output = self.forward(graph)
-        finally:
-            self.train(was_training)
-        return output.numpy()
+        with self.training_mode(False), no_grad():
+            return self.forward(graph).numpy()
 
     # -- layer-wise inference interface ---------------------------------
     def layerwise_plan(self, graph: Graph) -> list:
-        """Per-layer numpy inference steps for chunked all-node embedding.
+        """One chunked function per layer for chunked all-node embedding.
 
-        Consumed by :class:`repro.inference.LayerwiseInference`.  Attention
-        is evaluated per chunk of *target* nodes: the edge list (with self
-        loops) is grouped by destination once, then each chunk softmaxes and
-        aggregates only its own incoming edges, so neither the full
-        ``E x heads`` score matrix (sparse backend) nor the ``N x N``
-        attention matrix (dense backend) is ever materialized.  Dropout is
-        inference-off by construction, matching :meth:`embed`.
+        Consumed by :class:`repro.inference.LayerwiseInference`, which calls
+        each function as ``layer(h, chunk_size)`` in eval mode under
+        ``no_grad``.  A layer runs its per-node half
+        (:meth:`GATLayer.project`) once over all nodes, then its per-edge
+        half (:meth:`GATLayer.attend`) on the incoming edges of each chunk
+        of target nodes, so the full forward's ``E x heads x out`` message
+        buffer is only ever built for one chunk's edges.  Both backends use
+        the edge-list kernel; the backend parity tests hold it equal to the
+        dense reference.
         """
-        edge_index = add_self_loops(graph.edge_index, graph.num_nodes)
-        edges = _DstGroupedEdges.build(edge_index, graph.num_nodes)
-        step_cls = _GATDenseStep if self.backend == "dense" else _GATSparseStep
+        num_nodes = graph.num_nodes
+        edge_index = add_self_loops(graph.edge_index, num_nodes)
+        # Group by destination = group the reversed edge list by source;
+        # build_edge_csr keeps each destination's edges in their original
+        # order and multiplicity, so every chunk's segment reductions
+        # accumulate exactly like the full forward's.
+        indptr, src = build_edge_csr(edge_index[::-1], num_nodes)
+        dst = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
+        edges = (indptr, src, dst)
         return [
-            step_cls(self.layer1, edges, elu=True),
-            step_cls(self.layer2, edges, elu=False),
+            partial(_attention_layer, self.layer1, edges, True),
+            partial(_attention_layer, self.layer2, edges, False),
         ]
 
 
-# ----------------------------------------------------------------------
-# Layer-wise numpy inference (no autodiff, chunked over target nodes)
-# ----------------------------------------------------------------------
-class _DstGroupedEdges:
-    """Edge list (incl. self loops) grouped by destination node.
-
-    The stable sort preserves each destination's original edge order, so
-    per-segment reductions accumulate in exactly the same order as the full
-    forward's global scatter ops.
-    """
-
-    def __init__(self, src: np.ndarray, dst: np.ndarray, indptr: np.ndarray,
-                 num_nodes: int):
-        self.src = src
-        self.dst = dst
-        self.indptr = indptr
-        self.num_nodes = num_nodes
-        self.has_incoming = np.zeros(num_nodes, dtype=bool)
-        self.has_incoming[dst] = True
-
-    @classmethod
-    def build(cls, edge_index: np.ndarray, num_nodes: int) -> "_DstGroupedEdges":
-        from ..graphs.sampling import build_edge_csr
-
-        # Group by destination = group the reversed edge list by source;
-        # build_edge_csr guarantees the order/multiplicity preservation the
-        # per-segment parity relies on.
-        indptr, src = build_edge_csr(edge_index[::-1], num_nodes)
-        dst = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
-        return cls(src, dst, indptr, num_nodes)
-
-
-def _leaky_relu_np(x: np.ndarray, negative_slope: float) -> np.ndarray:
-    return x * np.where(x > 0, 1.0, negative_slope)
-
-
-def _elu_np(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    return np.where(x > 0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
-
-
-def _softmax_rows_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def _segment_softmax_np(scores: np.ndarray, segment_ids: np.ndarray,
-                        num_segments: int) -> np.ndarray:
-    """Numpy twin of :func:`repro.nn.functional.segment_softmax`."""
-    seg_max = np.full((num_segments, scores.shape[1]), -np.inf)
-    np.maximum.at(seg_max, segment_ids, scores)
-    seg_max[~np.isfinite(seg_max)] = 0.0
-    exp = np.exp(scores - seg_max[segment_ids])
-    denom = np.zeros((num_segments, scores.shape[1]))
-    np.add.at(denom, segment_ids, exp)
-    return exp / (denom[segment_ids] + 1e-16)
-
-
-class _GATSparseStep:
-    """One sparse-backend GAT layer as a chunked numpy computation.
-
-    ``prepare`` makes one chunked pass over the nodes to collect the
-    per-node attention scores (``N x heads`` — the only full-graph buffer);
-    ``compute`` then projects just the chunk's unique source nodes and runs
-    the segment softmax/aggregation over the chunk's incoming edges.
-    """
-
-    def __init__(self, layer: GATLayer, edges: _DstGroupedEdges, elu: bool):
-        self.layer = layer
-        self.edges = edges
-        self.elu = elu
-        self.out_dim = layer.output_dim
-        self._score_src: Optional[np.ndarray] = None
-        self._score_dst: Optional[np.ndarray] = None
-
-    def prepare(self, h: np.ndarray, chunk_size: int) -> None:
-        layer = self.layer
-        num_nodes = h.shape[0]
-        self._score_src = np.empty((num_nodes, layer.num_heads))
-        self._score_dst = np.empty((num_nodes, layer.num_heads))
-        weight = layer.weight.data
-        for start in range(0, num_nodes, chunk_size):
-            stop = min(start + chunk_size, num_nodes)
-            # (C, F) @ (H, F, O) -> (H, C, O) -> (C, H, O), as in forward.
-            projected = np.matmul(h[start:stop], weight).transpose(1, 0, 2)
-            self._score_src[start:stop] = (projected * layer.att_src.data).sum(axis=-1)
-            self._score_dst[start:stop] = (projected * layer.att_dst.data).sum(axis=-1)
-
-    def compute(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
-        layer = self.layer
-        edges = self.edges
-        lo, hi = edges.indptr[start], edges.indptr[stop]
-        e_src = edges.src[lo:hi]
-        e_dst_local = edges.dst[lo:hi] - start
-        num_targets = stop - start
-
-        scores = _leaky_relu_np(
-            self._score_src[e_src] + self._score_dst[edges.dst[lo:hi]],
-            layer.negative_slope,
-        )
-        alpha = _segment_softmax_np(scores, e_dst_local, num_targets)
-
-        unique_src, inverse = np.unique(e_src, return_inverse=True)
-        projected = np.matmul(h[unique_src], layer.weight.data).transpose(1, 0, 2)
-        messages = projected[inverse] * alpha[:, :, None]
-        aggregated = np.zeros((num_targets, layer.num_heads, layer.out_features))
-        np.add.at(aggregated, e_dst_local, messages)
-
-        if layer.concat_heads:
-            out = aggregated.reshape(num_targets, layer.num_heads * layer.out_features)
-        else:
-            out = aggregated.mean(axis=1)
-        return _elu_np(out) if self.elu else out
-
-    def finish(self) -> None:
-        self._score_src = None
-        self._score_dst = None
-
-
-class _GATDenseStep:
-    """One dense-backend GAT layer, chunked to ``chunk x N`` attention rows.
-
-    The O(N^2) reference forward materializes a full ``N x N`` attention
-    matrix per head; this step rebuilds only the chunk's rows (multiplicity
-    mask included) so peak memory drops to ``chunk_size x N`` while
-    reproducing the reference arithmetic row for row.
-    """
-
-    def __init__(self, layer: GATLayer, edges: _DstGroupedEdges, elu: bool):
-        self.layer = layer
-        self.edges = edges
-        self.elu = elu
-        self.out_dim = layer.output_dim
-        self._projected: Optional[list] = None
-        self._score_src: Optional[list] = None
-        self._score_dst: Optional[list] = None
-
-    def prepare(self, h: np.ndarray, chunk_size: int) -> None:
-        layer = self.layer
-        self._projected, self._score_src, self._score_dst = [], [], []
-        for head in range(layer.num_heads):
-            # Per-head 2D matmuls, mirroring the dense reference forward.
-            projected = h @ layer.weight.data[head]  # (N, O)
-            self._projected.append(projected)
-            self._score_src.append(projected @ layer.att_src.data[head])  # (N,)
-            self._score_dst.append(projected @ layer.att_dst.data[head])  # (N,)
-
-    def _mask_rows(self, start: int, stop: int) -> tuple:
-        edges = self.edges
-        lo, hi = edges.indptr[start], edges.indptr[stop]
-        return _dense_attention_mask(edges.src[lo:hi], edges.dst[lo:hi],
-                                     edges.has_incoming, edges.num_nodes,
-                                     start, stop)
-
-    def compute(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
-        layer = self.layer
-        mask, row_gate = self._mask_rows(start, stop)
-        head_outputs = []
-        for head in range(layer.num_heads):
-            logits = _leaky_relu_np(
-                self._score_src[head][None, :] + self._score_dst[head][start:stop, None],
-                layer.negative_slope,
-            )
-            alpha = _softmax_rows_np(logits + mask) * row_gate
-            head_outputs.append(alpha @ self._projected[head])
-        if layer.concat_heads:
-            out = np.concatenate(head_outputs, axis=1)
-        else:
-            stacked = head_outputs[0]
-            for other in head_outputs[1:]:
-                stacked = stacked + other
-            out = stacked * (1.0 / layer.num_heads)
-        return _elu_np(out) if self.elu else out
-
-    def finish(self) -> None:
-        self._projected = None
-        self._score_src = None
-        self._score_dst = None
+def _attention_layer(layer: GATLayer, edges: tuple, elu: bool,
+                     h: np.ndarray, chunk_size: int) -> np.ndarray:
+    """``layer`` (then ELU if ``elu``) on all nodes, ``chunk_size`` targets at a time."""
+    indptr, src, dst = edges
+    projected, score_src, score_dst = layer.project(Tensor(h))
+    num_nodes = h.shape[0]
+    out = np.empty((num_nodes, layer.output_dim))
+    for start in range(0, num_nodes, chunk_size):
+        stop = min(start + chunk_size, num_nodes)
+        lo, hi = indptr[start], indptr[stop]
+        rows = layer.attend(projected, score_src, score_dst[start:stop],
+                            src[lo:hi], dst[lo:hi] - start)
+        out[start:stop] = (rows.elu() if elu else rows).numpy()
+    return out

@@ -32,6 +32,7 @@ gradient agreement to 1e-8 (``tests/gnn/test_backend_parity.py``).
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from typing import Optional, Union
 
 import numpy as np
@@ -39,7 +40,7 @@ import scipy.sparse as sp
 
 from ..graphs.graph import Graph
 from ..nn.layers import Dropout, Linear, Module
-from ..nn.tensor import Tensor, sparse_matmul
+from ..nn.tensor import Tensor, no_grad, sparse_matmul
 from .backends import check_backend
 
 Propagation = Union[np.ndarray, sp.spmatrix]
@@ -115,67 +116,48 @@ class GCNEncoder(Module):
 
     def embed(self, graph: Graph) -> np.ndarray:
         """Inference-mode embeddings as a plain numpy array."""
-        from ..nn.tensor import no_grad
-
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                output = self.forward(graph)
-        finally:
-            self.train(was_training)
-        return output.numpy()
+        with self.training_mode(False), no_grad():
+            return self.forward(graph).numpy()
 
     # -- layer-wise inference interface ---------------------------------
     def layerwise_plan(self, graph: Graph) -> list:
-        """Per-layer numpy inference steps for chunked all-node embedding.
+        """One chunked function per layer for chunked all-node embedding.
 
-        Consumed by :class:`repro.inference.LayerwiseInference`: each step
-        computes one layer's output rows from the full previous-layer
-        activations, so at any moment only two layer activations (plus a
-        chunk-sized temporary) are alive — no autodiff graph, no all-layer
-        materialization.  Dropout is inference-off by construction, matching
-        :meth:`embed`.
+        Consumed by :class:`repro.inference.LayerwiseInference`, which calls
+        each function as ``layer(h, chunk_size)`` in eval mode under
+        ``no_grad``.  A layer computes its output rows chunk by chunk from
+        the previous layer's activations, so at any moment only two layer
+        activations and one chunk-sized temporary are alive.
         """
         propagation = self._propagation(graph)
+        row_sums = np.asarray(propagation.sum(axis=1)).reshape(-1, 1)
         return [
-            _GCNLayerStep(self.layer1, propagation, relu=True),
-            _GCNLayerStep(self.layer2, propagation, relu=False),
+            partial(_propagation_layer, self.layer1, propagation, row_sums, True),
+            partial(_propagation_layer, self.layer2, propagation, row_sums, False),
         ]
 
 
-class _GCNLayerStep:
-    """One GCN layer as a chunked numpy computation.
+def _propagation_layer(layer: GCNLayer, propagation: Propagation,
+                       row_sums: np.ndarray, relu: bool,
+                       h: np.ndarray, chunk_size: int) -> np.ndarray:
+    """``layer`` (then ReLU if ``relu``) on all nodes, ``chunk_size`` rows at a time.
 
-    ``compute`` evaluates output rows ``[start, stop)`` as
-    ``(P[start:stop] @ h) @ W + (P 1) b`` — propagation first, so the only
-    temporary is ``chunk x in_features`` instead of the full ``N x
-    out_features`` projection.  Matrix associativity makes this equal to the
-    training forward's ``P @ (h W + b)`` up to float rounding (parity is
-    tested at 1e-8); note the bias is added *before* propagation there, so
-    it must be scaled by the propagation row sums here.
+    Rows ``[a, b)`` are ``(P[a:b] @ h) @ W + (P 1)[a:b] b``: propagation
+    first, so the only temporary is ``chunk x in_features`` instead of the
+    full ``N x out_features`` projection.  Matrix associativity makes this
+    equal to the training forward's ``P @ (h W + b)`` up to float rounding
+    (parity is tested at 1e-8); the bias is added *before* propagation
+    there, so it is scaled by the propagation row sums here.  Calling
+    :meth:`GCNLayer.forward` per chunk instead would build that full
+    projection.
     """
-
-    def __init__(self, layer: GCNLayer, propagation: Propagation, relu: bool):
-        self.layer = layer
-        self.propagation = propagation
-        self.relu = relu
-        self.out_dim = layer.linear.out_features
-        self._row_sums: Optional[np.ndarray] = None
-
-    def prepare(self, h: np.ndarray, chunk_size: int) -> None:
-        if self.layer.linear.bias is not None:
-            self._row_sums = np.asarray(self.propagation.sum(axis=1)).reshape(-1, 1)
-
-    def compute(self, h: np.ndarray, start: int, stop: int) -> np.ndarray:
-        aggregated = self.propagation[start:stop] @ h
-        out = aggregated @ self.layer.linear.weight.data
-        bias = self.layer.linear.bias
+    weight, bias = layer.linear.weight.data, layer.linear.bias
+    num_nodes = h.shape[0]
+    out = np.empty((num_nodes, weight.shape[1]))
+    for start in range(0, num_nodes, chunk_size):
+        stop = min(start + chunk_size, num_nodes)
+        rows = (propagation[start:stop] @ h) @ weight
         if bias is not None:
-            out = out + self._row_sums[start:stop] * bias.data
-        if self.relu:
-            out = out * (out > 0)
-        return out
-
-    def finish(self) -> None:
-        self._row_sums = None
+            rows = rows + row_sums[start:stop] * bias.data
+        out[start:stop] = rows * (rows > 0) if relu else rows
+    return out

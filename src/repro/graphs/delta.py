@@ -53,6 +53,8 @@ class GraphDelta:
         features = np.asarray(self.add_features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("add_features must be 2-D (num_new_nodes, F)")
+        if not np.isfinite(features).all():
+            raise ValueError("add_features contains NaN or infinite values")
         edges = np.asarray(self.add_edges, dtype=np.int64)
         if edges.ndim != 2 or edges.shape[0] != 2:
             raise ValueError("add_edges must have shape (2, num_new_edges)")

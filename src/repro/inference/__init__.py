@@ -6,9 +6,12 @@ OpenIMA and every two-stage baseline.  This package bounds that cost in two
 orthogonal ways:
 
 * :class:`LayerwiseInference` — deterministic all-node embeddings computed
-  layer by layer in node chunks (GCN and GAT, sparse and dense backends),
-  materializing one layer's activations instead of a whole autodiff
-  forward; parity with ``encoder.embed`` at 1e-8.
+  layer by layer in node chunks (GCN and GAT, sparse and dense backends)
+  from the one chunked function per layer that ``encoder.layerwise_plan``
+  returns.  GAT's functions run the training attention kernel per chunk of
+  targets, so the ``E x heads x out`` message tensor the full forward
+  builds only ever covers one chunk's edges; parity with ``encoder.embed``
+  at 1e-8.
 * :class:`EmbeddingCache` / :class:`ParamVersion` — reuse one embedding pass
   across pseudo-label refresh, evaluation, and prediction while the encoder
   parameters are unchanged (the version counter is bumped by every

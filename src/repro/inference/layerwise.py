@@ -1,30 +1,33 @@
 """Layer-wise, chunked all-node embedding computation.
 
 :class:`LayerwiseInference` computes the same deterministic embeddings as
-``encoder.embed(graph)`` but **layer by layer in node chunks**, entirely in
-numpy (no autodiff graph):
+``encoder.embed(graph)`` but **layer by layer in node chunks**:
 
-* at any moment only the previous layer's activations, the layer being
-  filled, and one chunk-sized temporary are alive — a full autodiff forward
-  instead keeps every intermediate of every layer reachable until the output
-  tensor is dropped;
 * each chunk touches only its own rows of the cached normalized propagation
-  CSR (GCN) or its own incoming edges / attention rows (GAT), so the
-  per-chunk working set is bounded by ``chunk_size`` rather than ``N``.
+  CSR (GCN) or its own targets' incoming edges (GAT), so the per-chunk
+  working set is bounded by ``chunk_size`` rather than ``N``;
+* under ``no_grad`` the full forward records no autodiff graph either, so
+  what layer-wise saves is the largest buffer one full-graph op builds:
+  GAT's ``E x heads x out`` message tensor (built here for one chunk's
+  edges at a time) and GCN's ``N x out`` projection before propagation.
+  Layer-wise GAT still holds one ``N x heads x out`` projection per layer.
 
 The encoder contract is the duck-typed ``layerwise_plan(graph)`` method
 (implemented by :class:`repro.gnn.GCNEncoder` and
 :class:`repro.gnn.GATEncoder` for both the sparse and the dense backend),
-returning ordered *steps* with::
+returning one chunked function per layer::
 
-    step.out_dim                       # layer output width
-    step.prepare(h, chunk_size)        # per-layer precompute (small buffers)
-    step.compute(h, start, stop)       # output rows [start, stop)
-    step.finish()                      # release per-layer buffers
+    h = layer(h, chunk_size)    # this layer's output for all N nodes
+
+:meth:`LayerwiseInference.run` calls them in order on the node features,
+with the encoder in eval mode (restored afterwards) and gradient recording
+off.  GAT's functions run the same attention kernel as training
+(:meth:`repro.gnn.gat.GATLayer.attend`) on each chunk of targets.
 
 Parity with ``encoder.embed`` is tested at 1e-8 for GCN and GAT on both
 backends, including chunk sizes that do not divide ``N``, ``chunk_size=1``,
-and ``chunk_size > N`` (``tests/inference/test_layerwise.py``).
+``chunk_size > N``, and a multigraph with duplicate edges
+(``tests/inference/test_layerwise.py``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graphs.graph import Graph
+from ..nn.tensor import no_grad
 from ..obs import REGISTRY, span
 
 #: Default number of node rows computed per chunk.
@@ -52,24 +56,21 @@ class LayerwiseInference:
         self.chunk_size = chunk_size
 
     def run(self, encoder, graph: Graph) -> np.ndarray:
-        """Deterministic all-node embeddings, equal to ``encoder.embed``."""
+        """Deterministic all-node embeddings, equal to ``encoder.embed``.
+
+        The encoder runs in eval mode; its training flags are restored on
+        return.
+        """
         plan = getattr(encoder, "layerwise_plan", None)
         if plan is None:
             raise TypeError(
                 f"encoder {type(encoder).__name__} does not implement "
                 "layerwise_plan(graph); use mode='full' inference instead"
             )
-        steps = plan(graph)
-        num_nodes = graph.num_nodes
         h = np.asarray(graph.features, dtype=np.float64)
-        for index, step in enumerate(steps):
-            with _LAYER_SECONDS.time(), \
-                    span("inference.layer", layer=index):
-                step.prepare(h, self.chunk_size)
-                out = np.empty((num_nodes, step.out_dim), dtype=np.float64)
-                for start in range(0, num_nodes, self.chunk_size):
-                    stop = min(start + self.chunk_size, num_nodes)
-                    out[start:stop] = step.compute(h, start, stop)
-                step.finish()
-                h = out
+        with encoder.training_mode(False), no_grad():
+            for index, layer in enumerate(plan(graph)):
+                with _LAYER_SECONDS.time(), \
+                        span("inference.layer", layer=index):
+                    h = layer(h, self.chunk_size)
         return h

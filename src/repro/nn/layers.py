@@ -3,11 +3,13 @@
 The design follows the familiar ``torch.nn`` interface: a :class:`Module`
 owns :class:`Parameter` objects and child modules, exposes ``parameters()``
 for the optimizer, and switches between train/eval behaviour with
-``train()`` / ``eval()`` (which controls dropout).
+``train()`` / ``eval()`` (which controls dropout), or for one ``with``
+block with ``training_mode()``.
 """
 
 from __future__ import annotations
 
+import contextlib
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -109,6 +111,21 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    @contextlib.contextmanager
+    def training_mode(self, mode: bool) -> Iterator["Module"]:
+        """Set ``training`` on the module tree for the ``with`` block.
+
+        Every module's previous flag is restored on exit, also when the
+        block raises.
+        """
+        previous = [(module, module.training) for module in self.modules()]
+        self.train(mode)
+        try:
+            yield self
+        finally:
+            for module, training in previous:
+                module.training = training
 
     def zero_grad(self) -> None:
         for param in self.parameters():

@@ -76,11 +76,22 @@ class ServeConfig(SerializableConfig):
     warm: bool = True
 
 
+def _check_json_ints(values, what: str) -> None:
+    """Reject anything but JSON integers in ``values``; ``true`` is not 1."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{what} must be JSON integers, got {value!r}")
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the owning :class:`ModelServer`."""
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two writes; with Nagle's algorithm on, the
+    # body waits for the client's delayed ACK (~40 ms per keep-alive
+    # response).  StreamRequestHandler sets TCP_NODELAY when this is true.
+    disable_nagle_algorithm = True
 
     # The ModelServer is attached to the socket server instance.
     @property
@@ -174,6 +185,7 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ValueError('request needs "node" or "nodes"')
             if not nodes:
                 raise ValueError("empty node list")
+            _check_json_ints(nodes, "node ids")
             results = self.model_server.predict(nodes)
         except (ValueError, TypeError, KeyError, IndexError) as exc:
             self._reply(400, {"error": str(exc)})
@@ -307,9 +319,10 @@ class ModelServer:
         ``features`` is required (row-major list of new node feature
         vectors; ``[]`` for an edges-only delta), ``edges`` is the optional
         ``[sources, destinations]`` pair, ``labels`` the optional
-        ground-truth labels of the new nodes.  With ``undirected`` (the
-        default) the edges are symmetrized server-side, matching the
-        repository's both-directions storage convention.
+        ground-truth labels of the new nodes; ids and labels must be JSON
+        integers.  With ``undirected`` (the default) the edges are
+        symmetrized server-side, matching the repository's
+        both-directions storage convention.
         """
         # Imported lazily to keep the transport importable without numpy
         # being touched at module import time in minimal tooling contexts.
@@ -326,11 +339,15 @@ class ModelServer:
         features = np.asarray(payload.get("features", []), dtype=np.float64)
         if features.size == 0:
             features = features.reshape(0, graph.features.shape[1])
-        edges = np.asarray(payload.get("edges", [[], []]), dtype=np.int64)
+        edges = payload.get("edges", [[], []])
+        for endpoints in edges:
+            _check_json_ints(endpoints, "edge endpoints")
+        edges = np.asarray(edges, dtype=np.int64)
         if edges.size == 0:
             edges = edges.reshape(2, 0)
         labels = payload.get("labels")
         if labels is not None:
+            _check_json_ints(labels, "labels")
             labels = np.asarray(labels, dtype=np.int64)
         if payload.get("undirected", True):
             delta = GraphDelta.undirected(features, edges, labels)

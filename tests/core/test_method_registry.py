@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.callbacks import Callback
 from repro.core.config import OpenIMAConfig
 from repro.core.openima import OpenIMATrainer
 from repro.core.registry import (
@@ -135,3 +136,22 @@ class TestConstruction:
     def test_wrong_config_type_rejected(self, small_dataset):
         with pytest.raises(TypeError, match="TrainerConfig"):
             build_method("orca", small_dataset, OpenIMAConfig())
+
+
+class TrainingModeRecorder(Callback):
+    def __init__(self):
+        self.modes = []
+
+    def on_epoch_start(self, trainer, epoch):
+        self.modes.append(trainer.encoder.training)
+
+
+class TestTrainingMode:
+    @pytest.mark.parametrize("name", ALL_METHODS)
+    def test_every_epoch_starts_in_training_mode(self, name, small_dataset,
+                                                 tiny_trainer_config):
+        """Evaluating between epochs must not leave dropout switched off."""
+        recorder = TrainingModeRecorder()
+        config = tiny_trainer_config.with_updates(max_epochs=3, eval_every=1)
+        build_method(name, small_dataset, config).fit(callbacks=[recorder])
+        assert recorder.modes == [True, True, True]

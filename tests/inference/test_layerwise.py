@@ -1,8 +1,8 @@
-"""Layer-wise inference parity: chunked numpy evaluation vs ``encoder.embed``.
+"""Layer-wise inference parity: chunked evaluation vs ``encoder.embed``.
 
 The acceptance bar is 1e-8 agreement for GCN and GAT on both backends,
 including chunk sizes that do not divide the node count, ``chunk_size=1``,
-and ``chunk_size > N``.
+``chunk_size > N``, and a multigraph with duplicate edges and self loops.
 """
 
 from __future__ import annotations
@@ -34,6 +34,18 @@ def graph() -> Graph:
     )
 
 
+@pytest.fixture(scope="module")
+def multigraph(graph) -> Graph:
+    """``graph`` plus duplicated directed edges and explicit self loops, shuffled."""
+    rng = np.random.default_rng(4)
+    duplicates = graph.edge_index[:, rng.integers(graph.num_edges, size=40)]
+    loops = np.tile(rng.integers(NUM_NODES, size=10), (2, 1))
+    edges = np.hstack([graph.edge_index, duplicates, loops])
+    return Graph(features=graph.features,
+                 edge_index=edges[:, rng.permutation(edges.shape[1])],
+                 name="layerwise-multigraph")
+
+
 def build_encoder(kind: str, backend: str):
     if kind == "gcn":
         encoder = GCNEncoder(NUM_FEATURES, hidden_dim=10, out_dim=6, dropout=0.4,
@@ -52,11 +64,13 @@ def build_encoder(kind: str, backend: str):
 @pytest.mark.parametrize("kind", ["gcn", "gat"])
 @pytest.mark.parametrize("backend", ["sparse", "dense"])
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_layerwise_matches_full_embed(graph, kind, backend, chunk_size):
+def test_layerwise_matches_full_embed(graph, multigraph, kind, backend, chunk_size):
     encoder = build_encoder(kind, backend)
-    full = encoder.embed(graph)
-    layerwise = LayerwiseInference(chunk_size=chunk_size).run(encoder, graph)
-    np.testing.assert_allclose(layerwise, full, rtol=0.0, atol=1e-8)
+    for inputs in (graph, multigraph):
+        full = encoder.embed(inputs)
+        layerwise = LayerwiseInference(chunk_size=chunk_size).run(encoder, inputs)
+        np.testing.assert_allclose(layerwise, full, rtol=0.0, atol=1e-8,
+                                   err_msg=inputs.name)
 
 
 @pytest.mark.parametrize("kind", ["gcn", "gat"])
@@ -65,6 +79,7 @@ def test_layerwise_ignores_training_mode_dropout(graph, kind):
     encoder = build_encoder(kind, "sparse")
     encoder.train()
     layerwise = LayerwiseInference(chunk_size=13).run(encoder, graph)
+    assert all(module.training for module in encoder.modules())
     np.testing.assert_allclose(layerwise, encoder.embed(graph),
                                rtol=0.0, atol=1e-8)
 

@@ -70,6 +70,16 @@ class TestModule:
         seq.train()
         assert all(m.training for m in seq.modules())
 
+    def test_training_mode_restores_every_flag(self):
+        seq = Sequential(Linear(4, 4, rng=np.random.default_rng(0)), Dropout(0.5), ReLU())
+        seq.layer_1.eval()  # a mixed tree: only the dropout is off
+        before = [m.training for m in seq.modules()]
+        with pytest.raises(RuntimeError):
+            with seq.training_mode(False):
+                assert all(not m.training for m in seq.modules())
+                raise RuntimeError("restored even when the block raises")
+        assert [m.training for m in seq.modules()] == before
+
     def test_zero_grad(self):
         layer = Linear(3, 3, rng=np.random.default_rng(0))
         layer(Tensor(np.ones((2, 3)))).sum().backward()

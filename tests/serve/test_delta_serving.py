@@ -144,6 +144,28 @@ class TestHTTPDelta:
             client.apply_delta(features=[[1.0, 2.0]])
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "float_edge", "bool_label"])
+    def test_rejected_delta_leaves_server_intact(self, running_server, bad):
+        classifier, _, client = running_server
+        graph = classifier.trainer_.dataset.graph
+        num_nodes = graph.num_nodes
+        row = [0.5] * graph.features.shape[1]
+        payload = {"features": [row], "edges": [[num_nodes], [0]]}
+        if bad in ("nan", "inf"):
+            payload["features"] = [[float(bad), *row[1:]]]
+        elif bad == "float_edge":
+            payload["edges"] = [[num_nodes], [2.5]]
+        else:
+            payload["labels"] = [True]
+        before = client.predict(3)
+
+        with pytest.raises(ServeClientError) as excinfo:
+            client._request("POST", "/delta", payload)
+        assert excinfo.value.status == 400
+        assert graph.num_nodes == num_nodes
+        assert client.health()["num_nodes"] == num_nodes
+        assert client.predict(3) == before
+
     def test_out_of_range_edge_rejected(self, running_server):
         classifier, _, client = running_server
         graph = classifier.trainer_.dataset.graph

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -75,6 +76,22 @@ class TestHTTPEndpoints:
         with pytest.raises(ServeClientError) as exc:
             client._request("GET", "/nope")
         assert exc.value.status == 404
+        # Node ids must be JSON integers: no float truncation, bool or
+        # string coercion.
+        for node in (1.7, True, "3"):
+            with pytest.raises(ServeClientError) as exc:
+                client._request("POST", "/predict", {"node": node})
+            assert exc.value.status == 400
+
+    def test_keep_alive_requests_do_not_stall(self, running_server):
+        """Sequential requests on one connection never wait for a delayed ACK."""
+        _, client = running_server
+        client.predict(0)
+        start = time.perf_counter()
+        for _ in range(20):
+            client.predict(0)
+        # About 2 ms each with TCP_NODELAY; about 42 ms each without it.
+        assert time.perf_counter() - start < 0.4
 
     def test_concurrent_clients_get_identical_answers(self, running_server):
         server, client = running_server
