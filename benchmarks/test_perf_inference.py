@@ -2,13 +2,17 @@
 
 ``encoder.embed`` runs the monolithic forward under ``no_grad``, which
 records no autodiff graph, so its peak is set by the largest full-graph
-buffers one op builds: GAT's ``E x heads x out`` message tensor and GCN's
-``N x out`` projection before propagation.  ``LayerwiseInference`` calls
-one chunked function per layer from the encoder's ``layerwise_plan``: GAT
-runs its per-node projection once per layer and the training attention
-kernel on each chunk of targets' incoming edges, so the message tensor only
-ever covers one chunk's edges; GCN computes propagation-first rows
-``(P[a:b] @ h) @ W``.  Embeddings match ``embed`` to 1e-8.
+buffers its ops build: GAT's per-edge ``E x heads`` attention arrays next
+to two ``N x heads x out`` arrays (the aggregated heads and the product
+behind the attention scores), and GCN's ``N x out`` projection before
+propagation.  No path builds an ``E x heads x out`` message tensor: GAT
+aggregates with the fused ``edge_aggregate`` op.  ``LayerwiseInference``
+calls one chunked function per layer from the encoder's ``layerwise_plan``:
+GAT runs its per-node projection once per layer, its scores in row chunks
+and the training attention kernel on each chunk of targets' incoming edges,
+and hands layer 2 its projection instead of the hidden features; GCN
+computes propagation-first rows ``(P[a:b] @ h) @ W``.  Embeddings match
+``embed`` to 1e-8.
 
 Measured here for a GCN (sparse backend, hidden 64 -> out 32) and a GAT
 (8 heads) at 10k and 50k nodes: warm-pass wall-clock (best-of-``REPEATS``)
@@ -18,11 +22,11 @@ graph preprocessing).
 
 Results are appended to ``benchmarks/results/perf_inference.txt``.
 The acceptance headline: layer-wise peak memory measurably below the full
-forward at 50k nodes — on GAT the full pass materializes per-edge message
-tensors (~2 GB at 50k nodes), layer-wise holds one ``N x heads x out``
-projection plus one chunk's messages (measured >= 5x lower); on GCN the
-saving is smaller (~1.3x) because the monolithic pass is already linear
-in N.  At 10k nodes the default chunk is
+forward at 50k nodes — on GAT the full pass holds two ``N x heads x out``
+arrays next to the projection (320 MB at 50k nodes), layer-wise holds one
+``N x heads x out`` projection plus one chunk's attention arrays (136 MB,
+2.35x lower); on GCN the saving is smaller (~1.3x) because the monolithic
+pass is already linear in N.  At 10k nodes the default chunk is
 half the graph, so GCN layer-wise has no memory edge there — only parity
 and the timing report are checked for that cell.
 """

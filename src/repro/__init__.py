@@ -19,7 +19,8 @@ organised as:
 * :mod:`repro.core` — the OpenIMA method itself (BPCL losses, bias-reduced
   pseudo labels, two-stage inference, trainer).
 * :mod:`repro.baselines` — every baseline from the paper's evaluation.
-* :mod:`repro.theory` — the two-Gaussian K-Means model and Theorem 1 checks.
+* :mod:`repro.theory` — the two-Gaussian K-Means model and Theorem 1 checks
+  (imported on first access, since it pulls in ``scipy.stats``).
 * :mod:`repro.experiments` — runners and builders for every table and figure.
 * :mod:`repro.api` — estimator-style facade (``OpenWorldClassifier``) with
   versioned save/load checkpoints and resumable training.
@@ -50,13 +51,24 @@ from . import (
     inference,
     metrics,
     nn,
-    theory,
 )
 from .api import OpenWorldClassifier
 from .core import OpenIMAConfig, OpenIMATrainer, train_openima
 from .datasets import load_open_world_dataset
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    # repro.theory is imported on first access: it is the only importer of
+    # scipy.stats and scipy.optimize, which would otherwise add about a
+    # second to every ``import repro`` (and to ``repro serve``'s start).
+    if name == "theory":
+        import importlib
+
+        return importlib.import_module(".theory", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "analysis",

@@ -13,13 +13,21 @@ edge-index representation:
 
 Backends
 --------
-``backend="sparse"`` (default) evaluates attention on the edge list with
-segment gather/scatter primitives, vectorized across all heads in a single
-batched projection: O(E * H * d) time and memory, where ``E`` is the number
-of edges (incl. self loops), ``H`` the head count, and ``d`` the per-head
-width.  ``backend="dense"`` materializes the per-head N x N attention matrix
-(masked softmax + dense matmul); it is O(N^2) and exists as the reference
-implementation for the parity tests in ``tests/gnn/test_backend_parity.py``.
+``backend="sparse"`` (default) evaluates attention on the edge list,
+vectorized across all heads in a single batched projection.  Its per-edge
+reductions run on the segment kernels of :mod:`repro.nn.segment`: the
+segment softmax reduces by target with ``np.maximum.reduceat`` and a CSR
+incidence matmul, and the aggregation ``z_j = sum_i alpha_ij h_i`` is one
+autodiff op (:func:`repro.nn.tensor.edge_aggregate`), a weighted CSR matmul
+per head whose backward is a by-source CSR matmul plus a per-edge dot.  No
+``E x H x d`` message tensor is built in either direction, so a forward
+holds O(N * H * d + E * H) memory, where ``E`` is the number of edges (incl.
+self loops), ``H`` the head count, and ``d`` the per-head width.  The edges
+and their groupings come cached from :meth:`Graph.attention_edges`, so
+repeated forwards on one graph sort once.  ``backend="dense"``
+materializes the per-head N x N attention matrix (masked softmax + dense
+matmul); it is O(N^2) and exists as the reference implementation for the
+parity tests in ``tests/gnn/test_backend_parity.py``.
 
 The sparse forward is two halves: :meth:`GATLayer.project` (per node) and
 :meth:`GATLayer.attend` (per edge, over any set of targets' incoming edges).
@@ -31,17 +39,16 @@ targets, so both use one attention kernel.
 from __future__ import annotations
 
 from functools import partial
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..graphs.sampling import build_edge_csr
-from ..graphs.utils import add_self_loops
 from ..nn import functional as F
 from ..nn.init import glorot_uniform
 from ..nn.layers import Dropout, Module, Parameter
-from ..nn.tensor import Tensor, cat, no_grad
+from ..nn.segment import EdgeGroups
+from ..nn.tensor import Tensor, cat, edge_aggregate, no_grad
 from .backends import check_backend
 
 
@@ -83,12 +90,15 @@ class GATLayer(Module):
             return self.num_heads * self.out_features
         return self.out_features
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x: Tensor, edge_index: Union[np.ndarray, EdgeGroups],
+                num_nodes: int) -> Tensor:
+        """Attention over ``edge_index``: a ``(2, E)`` array or cached :class:`EdgeGroups`."""
         x = self.feat_dropout(x)
+        edges = (edge_index if isinstance(edge_index, EdgeGroups)
+                 else EdgeGroups.from_edge_index(edge_index, num_nodes))
         if self.backend == "dense":
-            return self._forward_dense(x, edge_index, num_nodes)
-        src, dst = edge_index
-        return self.attend(*self.project(x), src, dst)
+            return self._forward_dense(x, edges.src, edges.dst, num_nodes)
+        return self.attend(*self.project(x), edges)
 
     def project(self, x: Tensor) -> tuple:
         """Per-node half of the sparse forward, vectorized over every head.
@@ -105,29 +115,29 @@ class GATLayer(Module):
         return projected, score_src, score_dst
 
     def attend(self, projected: Tensor, score_src: Tensor, score_dst: Tensor,
-               src: np.ndarray, dst: np.ndarray) -> Tensor:
+               edges: EdgeGroups) -> Tensor:
         """Per-edge half: attention over the incoming edges of a set of targets.
 
-        ``score_dst`` holds one row per target and ``dst`` indexes those
-        rows; ``src`` indexes rows of ``projected`` and ``score_src``.  The
-        edges must be every incoming edge of each target, since the softmax
-        normalizes over them.  Returns one output row per target.
+        ``score_dst`` holds one row per target and ``edges.dst`` indexes
+        those rows; ``edges.src`` indexes rows of ``projected`` and
+        ``score_src``.  The edges must be every incoming edge of each
+        target, since the softmax normalizes over them.  Returns one output
+        row per target.
         """
         num_targets = score_dst.shape[0]
         edge_scores = (
-            score_src.gather_rows(src) + score_dst.gather_rows(dst)
+            score_src.gather_rows(edges.by_source) + score_dst.gather_rows(edges.by_target)
         ).leaky_relu(self.negative_slope)  # (E, H)
-        alpha = F.segment_softmax(edge_scores, dst, num_targets)
+        alpha = F.segment_softmax(edge_scores, edges.by_target, num_targets)
         alpha = self.att_dropout(alpha)
-
-        messages = projected.gather_rows(src) * alpha.reshape(-1, self.num_heads, 1)
-        aggregated = messages.scatter_add_rows(dst, num_targets)  # (T, H, O)
+        aggregated = edge_aggregate(projected, alpha, edges)  # (T, H, O)
 
         if self.concat_heads:
             return aggregated.reshape(num_targets, self.num_heads * self.out_features)
         return aggregated.mean(axis=1)
 
-    def _forward_dense(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def _forward_dense(self, x: Tensor, src: np.ndarray, dst: np.ndarray,
+                       num_nodes: int) -> Tensor:
         """Reference path: per-head masked N x N attention (O(N^2) memory).
 
         The additive mask is log(multiplicity): 0 on single edges, -inf on
@@ -138,7 +148,6 @@ class GATLayer(Module):
         left unmasked and zeroed through ``row_gate`` instead, matching the
         all-zero rows the sparse scatter-add produces.
         """
-        src, dst = edge_index
         multiplicity = np.zeros((num_nodes, num_nodes))
         np.add.at(multiplicity, (dst, src), 1.0)
         with np.errstate(divide="ignore"):
@@ -219,10 +228,10 @@ class GATEncoder(Module):
         self.num_message_passing_layers = 2
 
     def forward(self, graph: Graph) -> Tensor:
-        edge_index = add_self_loops(graph.edge_index, graph.num_nodes)
+        edges = graph.attention_edges()
         x = Tensor(graph.features)
-        hidden = self.layer1(x, edge_index, graph.num_nodes).elu()
-        return self.layer2(hidden, edge_index, graph.num_nodes)
+        hidden = self.layer1(x, edges, graph.num_nodes).elu()
+        return self.layer2(hidden, edges, graph.num_nodes)
 
     def embed(self, graph: Graph) -> np.ndarray:
         """Inference-mode embeddings as a plain numpy array."""
@@ -234,41 +243,62 @@ class GATEncoder(Module):
         """One chunked function per layer for chunked all-node embedding.
 
         Consumed by :class:`repro.inference.LayerwiseInference`, which calls
-        each function as ``layer(h, chunk_size)`` in eval mode under
-        ``no_grad``.  A layer runs its per-node half
-        (:meth:`GATLayer.project`) once over all nodes, then its per-edge
-        half (:meth:`GATLayer.attend`) on the incoming edges of each chunk
-        of target nodes, so the full forward's ``E x heads x out`` message
-        buffer is only ever built for one chunk's edges.  Both backends use
-        the edge-list kernel; the backend parity tests hold it equal to the
-        dense reference.
+        each function as ``h = layer(h, chunk_size)`` in eval mode under
+        ``no_grad``.  Each layer computes its nodes' attention scores from
+        their projection in row chunks, then runs its per-edge half
+        (:meth:`GATLayer.attend`) on the incoming edges of each chunk of
+        target nodes, sliced from the graph's cached
+        :meth:`~repro.graphs.graph.Graph.attention_edges`.  The first
+        function returns layer 2's projection of the hidden features rather
+        than the features themselves, so the hidden matrix is freed once
+        projected instead of staying alive, held by the caller, through
+        layer 2.  Both backends use the edge-list kernel; the backend
+        parity tests hold it equal to the dense reference.
         """
-        num_nodes = graph.num_nodes
-        edge_index = add_self_loops(graph.edge_index, num_nodes)
-        # Group by destination = group the reversed edge list by source;
-        # build_edge_csr keeps each destination's edges in their original
-        # order and multiplicity, so every chunk's segment reductions
-        # accumulate exactly like the full forward's.
-        indptr, src = build_edge_csr(edge_index[::-1], num_nodes)
-        dst = np.repeat(np.arange(num_nodes, dtype=np.int64), np.diff(indptr))
-        edges = (indptr, src, dst)
+        edges = graph.attention_edges()
         return [
-            partial(_attention_layer, self.layer1, edges, True),
-            partial(_attention_layer, self.layer2, edges, False),
+            partial(_hidden_layer, self.layer1, self.layer2, edges),
+            partial(_attend_in_chunks, self.layer2, edges, False),
         ]
 
 
-def _attention_layer(layer: GATLayer, edges: tuple, elu: bool,
-                     h: np.ndarray, chunk_size: int) -> np.ndarray:
-    """``layer`` (then ELU if ``elu``) on all nodes, ``chunk_size`` targets at a time."""
-    indptr, src, dst = edges
-    projected, score_src, score_dst = layer.project(Tensor(h))
-    num_nodes = h.shape[0]
+def _project(layer: GATLayer, h: np.ndarray) -> np.ndarray:
+    """``layer``'s ``(N, H, O)`` projection of ``h``, as in :meth:`GATLayer.project`."""
+    return Tensor(h).matmul(layer.weight).transpose((1, 0, 2)).data
+
+
+def _hidden_layer(layer: GATLayer, next_layer: GATLayer, edges: EdgeGroups,
+                  h: np.ndarray, chunk_size: int) -> np.ndarray:
+    """``layer`` then ELU on all nodes, returned as ``next_layer``'s projection of it."""
+    hidden = _attend_in_chunks(layer, edges, True, _project(layer, h), chunk_size)
+    return _project(next_layer, hidden)
+
+
+def _attend_in_chunks(layer: GATLayer, edges: EdgeGroups, elu: bool,
+                      projected: np.ndarray, chunk_size: int) -> np.ndarray:
+    """``layer`` (then ELU if ``elu``) on every node from their projection,
+    ``chunk_size`` targets at a time."""
+    num_nodes = projected.shape[0]
+    spans = [(start, min(start + chunk_size, num_nodes))
+             for start in range(0, num_nodes, chunk_size)]
+    # A chunk's edges may come from any source, so every source score is
+    # needed before the first chunk; the target scores go chunk by chunk.
+    score_src = Tensor(np.concatenate([_scores(projected, layer.att_src, start, stop)
+                                       for start, stop in spans]))
     out = np.empty((num_nodes, layer.output_dim))
-    for start in range(0, num_nodes, chunk_size):
-        stop = min(start + chunk_size, num_nodes)
-        lo, hi = indptr[start], indptr[stop]
-        rows = layer.attend(projected, score_src, score_dst[start:stop],
-                            src[lo:hi], dst[lo:hi] - start)
+    for start, stop in spans:
+        score_dst = Tensor(_scores(projected, layer.att_dst, start, stop))
+        rows = layer.attend(Tensor(projected), score_src, score_dst,
+                            edges.slice_targets(start, stop))
         out[start:stop] = (rows.elu() if elu else rows).numpy()
     return out
+
+
+def _scores(projected: np.ndarray, att: Parameter, start: int, stop: int) -> np.ndarray:
+    """:meth:`GATLayer.project`'s attention scores of rows ``start .. stop - 1``.
+
+    Computing them a row chunk at a time keeps one chunk's ``(rows, H, O)``
+    product alive instead of the whole graph's; each score reduces one row,
+    so the values are the same.
+    """
+    return (projected[start:stop] * att.data).sum(axis=-1)

@@ -9,10 +9,13 @@ required by the paper's pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    from ..nn.segment import EdgeGroups
 
 
 @dataclass
@@ -35,10 +38,10 @@ class Graph:
     Mutability contract
     -------------------
     Derived structures (:meth:`adjacency`, :meth:`propagation`,
-    :meth:`edge_csr`) are cached on first use and assume the graph never
-    changes afterwards.  Treat a graph as immutable once constructed: prefer
-    building a new one (:meth:`copy`, :meth:`subgraph`,
-    ``dataclasses.replace``) over reassigning fields.  Any code that does
+    :meth:`edge_csr`, :meth:`attention_edges`) are cached on first use and
+    assume the graph never changes afterwards.  Treat a graph as immutable
+    once constructed: prefer building a new one (:meth:`copy`,
+    :meth:`subgraph`, ``dataclasses.replace``) over reassigning fields.  Any code that does
     reassign ``features``, ``edge_index``, or ``labels`` in place MUST call
     :meth:`invalidate_caches` afterwards — otherwise the cached matrices
     silently keep describing the old graph.
@@ -51,6 +54,7 @@ class Graph:
     _adjacency_cache: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _propagation_cache: Optional[sp.csr_matrix] = field(default=None, repr=False, compare=False)
     _csr_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _attention_cache: Optional["EdgeGroups"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -75,15 +79,16 @@ class Graph:
 
         Must be called after reassigning ``features``/``edge_index``/
         ``labels`` on an existing instance (see the class docstring); the
-        next :meth:`adjacency` / :meth:`propagation` / :meth:`edge_csr` call
-        rebuilds from the current fields.  Also bumps :attr:`cache_version`,
-        which external caches keyed on this graph (encoder propagation
-        caches, ``repro.inference.EmbeddingCache``) compare so a mutated
-        graph can never serve their stale entries.
+        next :meth:`adjacency` / :meth:`propagation` / :meth:`edge_csr` /
+        :meth:`attention_edges` call rebuilds from the current fields.  Also
+        bumps :attr:`cache_version`, which external caches keyed on this
+        graph (encoder propagation caches, ``repro.inference.EmbeddingCache``)
+        compare so a mutated graph can never serve their stale entries.
         """
         self._adjacency_cache = None
         self._propagation_cache = None
         self._csr_cache = None
+        self._attention_cache = None
         self._cache_version = getattr(self, "_cache_version", -1) + 1
 
     @property
@@ -145,9 +150,9 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Out-degree of every node based on the stored directed edges."""
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
-        np.add.at(counts, self.edge_index[0], 1)
-        return counts
+        from ..nn.segment import Segments
+
+        return Segments(self.edge_index[0], self.num_nodes).counts()
 
     def edge_csr(self) -> tuple:
         """CSR view ``(indptr, indices)`` of the edge list, grouped by source.
@@ -160,6 +165,24 @@ class Graph:
 
             self._csr_cache = build_edge_csr(self.edge_index, self.num_nodes)
         return self._csr_cache
+
+    def attention_edges(self) -> "EdgeGroups":  # returns-frozen
+        """The GAT attention edges: ``edge_index`` plus one self loop per node.
+
+        Existing self loops are dropped first (see
+        :func:`~repro.graphs.utils.add_self_loops`).  Cached with their
+        by-target and by-source groupings, which sort on first use, so every
+        encoder forward on this graph reuses one sort; the edge arrays are
+        read-only.
+        """
+        if self._attention_cache is None:
+            from ..nn.segment import EdgeGroups
+            from .utils import add_self_loops
+
+            edge_index = add_self_loops(self.edge_index, self.num_nodes)
+            edge_index.setflags(write=False)
+            self._attention_cache = EdgeGroups.from_edge_index(edge_index, self.num_nodes)
+        return self._attention_cache
 
     def neighbors(self, node: int) -> np.ndarray:
         """Return the targets of edges leaving ``node`` (O(degree) lookup)."""

@@ -9,9 +9,8 @@ orthogonal ways:
   layer by layer in node chunks (GCN and GAT, sparse and dense backends)
   from the one chunked function per layer that ``encoder.layerwise_plan``
   returns.  GAT's functions run the training attention kernel per chunk of
-  targets, so the ``E x heads x out`` message tensor the full forward
-  builds only ever covers one chunk's edges; parity with ``encoder.embed``
-  at 1e-8.
+  targets, so its per-edge attention arrays only ever cover one chunk's
+  edges; parity with ``encoder.embed`` at 1e-8.
 * :class:`EmbeddingCache` / :class:`ParamVersion` — reuse one embedding pass
   across pseudo-label refresh, evaluation, and prediction while the encoder
   parameters are unchanged (the version counter is bumped by every

@@ -7,10 +7,15 @@
   CSR (GCN) or its own targets' incoming edges (GAT), so the per-chunk
   working set is bounded by ``chunk_size`` rather than ``N``;
 * under ``no_grad`` the full forward records no autodiff graph either, so
-  what layer-wise saves is the largest buffer one full-graph op builds:
-  GAT's ``E x heads x out`` message tensor (built here for one chunk's
-  edges at a time) and GCN's ``N x out`` projection before propagation.
-  Layer-wise GAT still holds one ``N x heads x out`` projection per layer.
+  what layer-wise saves is the largest buffers full-graph ops build: GAT's
+  per-edge ``E x heads`` attention arrays and ``N x heads x out``
+  aggregated heads (built here for one chunk of targets at a time) and the
+  ``N x heads x out`` product behind its attention scores (here one row
+  chunk at a time), and GCN's ``N x out`` projection before propagation.  Neither path builds an ``E x heads x out`` message
+  tensor: GAT aggregates with the fused
+  :func:`~repro.nn.tensor.edge_aggregate`.  Layer-wise GAT still holds one
+  ``N x heads x out`` projection per layer, but not the hidden features
+  next to it.
 
 The encoder contract is the duck-typed ``layerwise_plan(graph)`` method
 (implemented by :class:`repro.gnn.GCNEncoder` and
@@ -21,8 +26,13 @@ returning one chunked function per layer::
 
 :meth:`LayerwiseInference.run` calls them in order on the node features,
 with the encoder in eval mode (restored afterwards) and gradient recording
-off.  GAT's functions run the same attention kernel as training
-(:meth:`repro.gnn.gat.GATLayer.attend`) on each chunk of targets.
+off.  What passes between two functions is up to the encoder as long as the
+last one returns the embeddings: GAT's first function returns layer 2's
+projection of its output, so the caller never holds the hidden features
+while layer 2 runs.  GAT's functions run the same attention kernel as training
+(:meth:`repro.gnn.gat.GATLayer.attend`) on each chunk of targets, whose
+incoming edges are sliced from the graph's cached
+:meth:`~repro.graphs.graph.Graph.attention_edges` grouping.
 
 Parity with ``encoder.embed`` is tested at 1e-8 for GCN and GAT on both
 backends, including chunk sizes that do not divide ``N``, ``chunk_size=1``,

@@ -2,7 +2,8 @@
 
 This subpackage is the substrate standing in for PyTorch: it provides the
 :class:`~repro.nn.tensor.Tensor` autodiff engine, module/layer abstractions,
-initializers, optimizers, and the differentiable functions required by the
+initializers, optimizers, the segment kernels message passing reduces with
+(:mod:`~repro.nn.segment`), and the differentiable functions required by the
 GNN encoders and contrastive objectives used throughout the repository.
 """
 
@@ -10,12 +11,26 @@ from . import functional
 from .init import glorot_normal, glorot_uniform, zeros_init
 from .layers import ELU, Dropout, Linear, Module, Parameter, ReLU, Sequential
 from .optim import SGD, Adam, Optimizer
-from .tensor import Tensor, cat, is_grad_enabled, no_grad, ones, sparse_matmul, stack, zeros
+from .segment import EdgeGroups, Segments
+from .tensor import (
+    Tensor,
+    cat,
+    edge_aggregate,
+    is_grad_enabled,
+    no_grad,
+    ones,
+    sparse_matmul,
+    stack,
+    zeros,
+)
 
 __all__ = [
     "Tensor",
     "cat",
     "sparse_matmul",
+    "edge_aggregate",
+    "Segments",
+    "EdgeGroups",
     "stack",
     "zeros",
     "ones",

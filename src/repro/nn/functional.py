@@ -9,10 +9,11 @@ scores in GAT), and dropout.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
+from .segment import Segments
 from .tensor import Tensor, sparse_matmul
 
 __all__ = [
@@ -102,30 +103,28 @@ def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Gene
     return x * Tensor(mask)
 
 
-def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+def segment_softmax(scores: Tensor, segment_ids: Union[np.ndarray, Segments],
+                    num_segments: int) -> Tensor:
     """Softmax of ``scores`` within segments defined by ``segment_ids``.
 
     Used to normalize GAT attention coefficients over the incoming edges of
     each destination node.  ``scores`` has shape (num_edges,) or
     (num_edges, heads); ``segment_ids`` assigns each edge to a destination
-    node in ``[0, num_segments)``.
+    node in ``[0, num_segments)``, either as an integer array (grouped for
+    this call) or as a cached :class:`~repro.nn.segment.Segments`.  The
+    per-segment maximum and sum run on that one grouping
+    (``np.maximum.reduceat`` and a CSR incidence matmul).
     """
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    segments = (segment_ids if isinstance(segment_ids, Segments)
+                else Segments(segment_ids, num_segments))
     # Subtract the per-segment maximum (computed outside the graph) for
-    # numerical stability.
-    if scores.ndim == 1:
-        seg_max = np.full(num_segments, -np.inf)
-        np.maximum.at(seg_max, segment_ids, scores.data)
-        seg_max[~np.isfinite(seg_max)] = 0.0
-        shifted = scores - Tensor(seg_max[segment_ids])
-    else:
-        seg_max = np.full((num_segments, scores.shape[1]), -np.inf)
-        np.maximum.at(seg_max, segment_ids, scores.data)
-        seg_max[~np.isfinite(seg_max)] = 0.0
-        shifted = scores - Tensor(seg_max[segment_ids])
+    # numerical stability; segments with no finite score shift by 0.
+    seg_max = segments.max(scores.data)
+    seg_max[~np.isfinite(seg_max)] = 0.0
+    shifted = scores - Tensor(seg_max[segments.ids])
     exp = shifted.exp()
-    denom = exp.scatter_add_rows(segment_ids, num_segments)
-    denom_per_edge = denom.gather_rows(segment_ids)
+    denom = exp.scatter_add_rows(segments, num_segments)
+    denom_per_edge = denom.gather_rows(segments)
     return exp / (denom_per_edge + 1e-16)
 
 

@@ -24,6 +24,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 import scipy.sparse as sp
 
+from .segment import EdgeGroups, Segments
+
 ArrayLike = Union[np.ndarray, float, int, Sequence[float]]
 
 
@@ -156,6 +158,25 @@ class Tensor:
         return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        """Add a gradient its op just allocated for this tensor alone.
+
+        The first one becomes ``self.grad`` as is (no copy); later ones add
+        into it.  A gradient that aliases another buffer must go through
+        :meth:`_accumulate_view` instead.
+        """
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            self.grad = grad if grad.dtype == np.float64 else grad.astype(np.float64)
+        else:
+            self.grad += grad
+
+    def _accumulate_view(self, grad: np.ndarray) -> None:
+        """Add a pass-through gradient: the output's ``.grad`` or a view of it.
+
+        Copied on first touch, so no two tensors' ``.grad`` buffers share
+        memory and a later ``+=`` into one never changes another.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
@@ -208,7 +229,7 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        self._accumulate(grad)
+        self._accumulate_view(grad)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -221,8 +242,8 @@ class Tensor:
         out_data = self.data + other_t.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.data.shape))
-            other_t._accumulate(_unbroadcast(grad, other_t.data.shape))
+            self._accumulate_view(_unbroadcast(grad, self.data.shape))
+            other_t._accumulate_view(_unbroadcast(grad, other_t.data.shape))
 
         return Tensor._make(out_data, (self, other_t), backward)
 
@@ -438,7 +459,7 @@ class Tensor:
         original_shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original_shape))
+            self._accumulate_view(grad.reshape(original_shape))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -447,23 +468,28 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if axes is None:
-                self._accumulate(grad.T)
+                self._accumulate_view(grad.T)
             else:
                 inverse = np.argsort(axes)
-                self._accumulate(grad.transpose(inverse))
+                self._accumulate_view(grad.transpose(inverse))
 
         return Tensor._make(out_data, (self,), backward)
 
-    def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Select rows ``self[indices]``; gradients scatter-add back."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out_data = self.data[indices]
+    def gather_rows(self, indices: Union[np.ndarray, Segments]) -> "Tensor":
+        """Select rows ``self[indices]``; gradients sum back per row.
+
+        ``indices`` is an integer array or a :class:`Segments` keyed on this
+        tensor's rows, whose grouping the backward then reuses instead of
+        sorting the indices again.
+        """
+        segments = indices if isinstance(indices, Segments) else None
+        ids = segments.ids if segments is not None else np.asarray(indices, dtype=np.int64)
+        out_data = self.data[ids]
         shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros(shape, dtype=np.float64)
-            np.add.at(full, indices, grad)
-            self._accumulate(full)
+            by_row = segments if segments is not None else Segments(ids.ravel(), shape[0])
+            self._accumulate(by_row.sum(grad.reshape(ids.size, *shape[1:])))
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -480,20 +506,19 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def scatter_add_rows(self, indices: np.ndarray, num_rows: int) -> "Tensor":
-        """Scatter rows of ``self`` into a zero tensor of ``num_rows`` rows.
+    def scatter_add_rows(self, indices: Union[np.ndarray, Segments], num_rows: int) -> "Tensor":
+        """Sum rows of ``self`` into ``num_rows`` rows: ``out[indices[i]] += self[i]``.
 
-        ``out[indices[i]] += self[i]``.  The backward pass gathers gradients
-        back to the source rows.  This is the aggregation primitive used by
+        ``indices`` is an integer array or a cached :class:`Segments` over
+        ``num_rows`` keys.  The backward pass gathers gradients back to the
+        source rows.  This is the aggregation primitive used by
         message-passing GNN layers.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        out_shape = (num_rows,) + self.data.shape[1:]
-        out_data = np.zeros(out_shape, dtype=np.float64)
-        np.add.at(out_data, indices, self.data)
+        segments = indices if isinstance(indices, Segments) else Segments(indices, num_rows)
+        out_data = segments.sum(self.data)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad[indices])
+            self._accumulate(grad[segments.ids])
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -516,7 +541,7 @@ def cat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:], strict=True):
             slicer = [slice(None)] * grad.ndim
             slicer[axis] = slice(start, stop)
-            tensor._accumulate(grad[tuple(slicer)])
+            tensor._accumulate_view(grad[tuple(slicer)])
 
     return Tensor._make(out_data, tensors, backward)
 
@@ -529,7 +554,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         split = np.moveaxis(grad, axis, 0)
         for tensor, piece in zip(tensors, split, strict=True):
-            tensor._accumulate(piece)
+            tensor._accumulate_view(piece)
 
     return Tensor._make(out_data, tensors, backward)
 
@@ -561,6 +586,50 @@ def sparse_matmul(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
         dense_t._accumulate(csr.T @ grad)
 
     return Tensor._make(out_data, (dense_t,), backward)
+
+
+#: Edges per block of the per-edge dot in :func:`edge_aggregate`'s backward.
+_EDGE_BLOCK = 4096
+
+
+def edge_aggregate(values: Tensor, weights: Tensor, edges: EdgeGroups) -> Tensor:
+    """Per-head weighted sum of edge sources into targets: GAT's aggregation.
+
+    ``out[t, h] = sum over edges e into t of weights[e, h] * values[src[e], h]``
+    for ``values`` of shape (N, H, O) and ``weights`` of shape (E, H);
+    returns (T, H, O).  The result and both gradients are bitwise equal to
+    ``(values.gather_rows(src) * weights.reshape(E, H, 1)).scatter_add_rows(dst, T)``,
+    but no ``E x H x O`` message buffer exists in either direction: the
+    forward is one weighted CSR matmul per head over the by-target grouping,
+    and the backward, head by head, one by-source CSR matmul for ``values``
+    plus a per-edge dot, block by block, for ``weights``.
+    """
+    num_heads = values.shape[1]
+    out_data = np.empty((edges.num_targets, *values.shape[1:]))
+    for head in range(num_heads):
+        out_data[:, head] = edges.sum_to_targets(weights.data[:, head], values.data[:, head])
+
+    def backward(grad: np.ndarray) -> None:
+        grad_values = np.empty(values.shape) if values.requires_grad else None
+        grad_weights = np.empty(weights.shape) if weights.requires_grad else None
+        for head in range(num_heads):
+            grad_head = np.ascontiguousarray(grad[:, head])
+            if grad_values is not None:
+                grad_values[:, head] = edges.sum_to_sources(weights.data[:, head], grad_head)
+            if grad_weights is not None:
+                # Each dot reduces one contiguous row of out_features, the
+                # same reduction as summing the (E, H, O) product's last axis.
+                values_head = np.ascontiguousarray(values.data[:, head])
+                for start in range(0, len(edges), _EDGE_BLOCK):
+                    block = slice(start, start + _EDGE_BLOCK)
+                    grad_weights[block, head] = (grad_head[edges.dst[block]]
+                                                 * values_head[edges.src[block]]).sum(axis=1)
+        if grad_values is not None:
+            values._accumulate(grad_values)
+        if grad_weights is not None:
+            weights._accumulate(grad_weights)
+
+    return Tensor._make(out_data, (values, weights), backward)
 
 
 def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor:

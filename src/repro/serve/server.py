@@ -32,6 +32,7 @@ stops accepting connections, drains the coalescer, and unblocks
 
 from __future__ import annotations
 
+import contextlib
 import json
 import signal
 import threading
@@ -92,6 +93,12 @@ class _Handler(BaseHTTPRequestHandler):
     # body waits for the client's delayed ACK (~40 ms per keep-alive
     # response).  StreamRequestHandler sets TCP_NODELAY when this is true.
     disable_nagle_algorithm = True
+    #: Largest request body read, in bytes; a larger Content-Length gets 413.
+    max_body_bytes = 16 << 20
+    #: Seconds a request body may take to arrive before the connection is
+    #: closed.  Set only around the body read, so idle keep-alive
+    #: connections are not timed out.
+    body_timeout_s = 10.0
 
     # The ModelServer is attached to the socket server instance.
     @property
@@ -120,6 +127,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self._observe(status)
@@ -158,11 +167,47 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             _INFLIGHT.dec()
 
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or None after replying with an error.
+
+        A Content-Length that is not a non-negative integer gets 400, one
+        above :attr:`max_body_bytes` gets 413, and a body that stops
+        arriving for :attr:`body_timeout_s` gets 408.  After any of them
+        the connection is closed, since its stream no longer sits at a
+        request boundary.
+        """
+        header = self.headers.get("Content-Length", "0").strip()
+        length = int(header) if header.isascii() and header.isdigit() else -1
+        if length < 0 or length > self.max_body_bytes:
+            self.close_connection = True
+            if length < 0:
+                self._reply(400, {"error": f"invalid Content-Length {header!r}"})
+            else:
+                self._reply(413, {"error": f"request body of {length} bytes exceeds "
+                                           f"the {self.max_body_bytes}-byte limit"})
+            return None
+        self.connection.settimeout(self.body_timeout_s)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            body = b""
+        finally:
+            self.connection.settimeout(self.timeout)
+        if len(body) < length:
+            self.close_connection = True
+            # The client may be gone already; the connection closes anyway.
+            with contextlib.suppress(OSError):
+                self._reply(408, {"error": "request body incomplete"})
+            return None
+        return body
+
     def _route_post(self) -> None:
+        body = self._read_body()
+        if body is None:
+            return
         if self.path == "/delta":
             try:
-                length = int(self.headers.get("Content-Length", 0))
-                request = json.loads(self.rfile.read(length) or b"{}")
+                request = json.loads(body or b"{}")
                 summary = self.model_server.apply_delta(request)
             except (ValueError, TypeError, KeyError, IndexError) as exc:
                 self._reply(400, {"error": str(exc)})
@@ -173,8 +218,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            request = json.loads(self.rfile.read(length) or b"{}")
+            request = json.loads(body or b"{}")
             if "node" in request:
                 nodes = [request["node"]]
                 single = True

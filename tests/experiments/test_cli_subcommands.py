@@ -315,3 +315,24 @@ class TestStreamCommand:
         summary = result["summary"]
         assert summary["first_birth_step"] is None
         assert summary["num_clusters_end"] == summary["num_clusters_start"]
+
+
+class TestImportCost:
+    """``repro serve`` starts by importing the CLI; keep scipy.stats off that path."""
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        import subprocess
+        import sys
+
+        probe = ("import sys, repro.experiments.cli; "
+                 "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
+    def test_theory_stays_reachable_from_the_package(self):
+        import repro
+
+        assert repro.theory.TwoGaussianMixture is not None
+        with pytest.raises(AttributeError):
+            _ = repro.no_such_module

@@ -121,6 +121,51 @@ class TestCacheInvalidation:
         assert replaced.adjacency().nnz == 1
 
 
+class TestAttentionEdges:
+    def test_built_on_first_use_then_cached_and_frozen(self):
+        graph = make_triangle_graph()
+        assert graph._attention_cache is None  # never at construction
+        edges = graph.attention_edges()
+        assert graph.attention_edges() is edges
+        # edge_index plus one self loop per node, in that order.
+        np.testing.assert_array_equal(edges.src, [0, 1, 1, 2, 2, 0, 0, 1, 2])
+        np.testing.assert_array_equal(edges.dst, [1, 0, 2, 1, 0, 2, 0, 1, 2])
+        assert not edges.src.flags.writeable and not edges.dst.flags.writeable
+
+    def test_apply_delta_drops_the_cached_edges(self):
+        from repro.graphs.delta import GraphDelta
+
+        graph = make_triangle_graph()
+        stale = graph.attention_edges()
+        graph.apply_delta(GraphDelta(add_features=np.eye(3)[:1],
+                                     add_edges=np.array([[3, 0], [0, 3]])))
+        edges = graph.attention_edges()
+        assert edges is not stale
+        assert len(edges) == 8 + 4 and edges.num_targets == 4
+
+    def test_invalidate_caches_drops_the_cached_edges(self):
+        graph = make_triangle_graph()
+        stale = graph.attention_edges()
+        graph.edge_index = np.array([[0], [1]])
+        graph.invalidate_caches()
+        assert graph.attention_edges() is not stale
+        np.testing.assert_array_equal(graph.attention_edges().src, [0, 0, 1, 2])
+
+    def test_gat_after_delta_matches_a_fresh_graph(self):
+        """A stale grouping after a delta would aggregate the wrong edges."""
+        from repro.gnn import GATEncoder
+        from repro.graphs.delta import GraphDelta
+
+        rng = np.random.default_rng(0)
+        graph = Graph(features=rng.normal(size=(6, 3)),
+                      edge_index=np.array([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]]))
+        encoder = GATEncoder(3, hidden_dim=4, out_dim=2, num_heads=2, dropout=0.0, rng=rng)
+        encoder.embed(graph)  # builds the attention cache
+        graph.apply_delta(GraphDelta(add_features=rng.normal(size=(1, 3)),
+                                     add_edges=np.array([[6, 0, 5], [0, 6, 0]])))
+        np.testing.assert_array_equal(encoder.embed(graph), encoder.embed(graph.copy()))
+
+
 class TestSubgraph:
     def test_subgraph_relabels_nodes(self):
         graph = make_triangle_graph()

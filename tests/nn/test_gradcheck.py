@@ -14,7 +14,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor, cat, sparse_matmul, stack
+from repro.nn.segment import EdgeGroups
+from repro.nn.tensor import Tensor, cat, edge_aggregate, sparse_matmul, stack
 
 from .gradcheck import gradcheck
 
@@ -263,6 +264,14 @@ class TestFunctionalComposites:
         segments = np.array([0, 0, 1, 2, 2, 2])
         gradcheck(
             lambda a: F.segment_softmax(a, segments, 3), [rng.normal(size=(6, 2))]
+        )
+
+    def test_edge_aggregate(self, rng):
+        # A multigraph: duplicate edge 1->0, self loop 2->2, node 3 with no in-edge.
+        edges = EdgeGroups(np.array([1, 2, 1, 0, 2, 3]), np.array([0, 2, 0, 1, 1, 2]), 4, 4)
+        gradcheck(
+            lambda values, weights: edge_aggregate(values, weights, edges),
+            [rng.normal(size=(4, 2, 3)), rng.uniform(0.1, 1.0, size=(6, 2))],
         )
 
     def test_pairwise_cosine_similarity(self, rng):

@@ -181,6 +181,45 @@ class TestReductions:
             t.grad, np.array([[1.0, 3.0], [1.0, 2.0]]))
 
 
+class TestGradientOwnership:
+    """Ops claim the gradients they allocate; pass-through gradients are copied."""
+
+    @staticmethod
+    def graph_tensors(root):
+        seen, stack_ = {}, [root]
+        while stack_:
+            node = stack_.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack_.extend(node._parents)
+        return list(seen.values())
+
+    @pytest.mark.parametrize("build", [
+        lambda x: x + x,
+        lambda x: (x + 1.0) + x.reshape(4, 3).reshape(3, 4),
+        lambda x: x.transpose().transpose() + x,
+        lambda x: x.transpose((1, 0)).reshape(12).reshape(4, 3).T,
+        lambda x: cat([x, x], axis=0)[np.arange(3)] + stack([x, x])[0],
+    ])
+    def test_pass_through_gradient_never_shares_a_buffer(self, build):
+        x = Tensor(np.arange(12, dtype=float).reshape(3, 4), requires_grad=True)
+        out = build(x)
+        (out * Tensor(np.ones(out.shape))).sum().backward()
+        grads = [t.grad for t in self.graph_tensors(out) if t.grad is not None]
+        assert len(grads) >= 2
+        for i, first in enumerate(grads):
+            for second in grads[i + 1:]:
+                assert not np.shares_memory(first, second)
+
+    def test_root_gradient_is_copied(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        product = x.matmul(Tensor(np.ones((3, 4))))
+        upstream = np.ones((2, 4))
+        product.backward(upstream)
+        assert not np.shares_memory(product.grad, upstream)
+        np.testing.assert_allclose(x.grad, np.full((2, 3), 4.0))
+
+
 class TestIndexingAndShapes:
     def test_gather_rows_backward(self):
         array = np.arange(12, dtype=float).reshape(4, 3)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -15,6 +16,23 @@ from repro.serve import (
     ServeClientError,
     ServeConfig,
 )
+from repro.serve.server import _Handler
+
+
+def _raw_post(port: int, content_length: str, body: bytes) -> int:
+    """POST /predict with a hand-written Content-Length; the response status.
+
+    Reads until the server closes the connection (each rejected body
+    closes it), so a server that never answers fails the socket timeout.
+    """
+    head = (f"POST /predict HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {content_length}\r\n\r\n").encode()
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head + body)
+        response = b""
+        while chunk := sock.recv(4096):
+            response += chunk
+    return int(response.split(b" ", 2)[1])
 
 
 @pytest.fixture()
@@ -63,7 +81,7 @@ class TestHTTPEndpoints:
         assert stats["coalescer"]["requests"] >= 2
         assert stats["service"]["snapshot_builds"] == 1
 
-    def test_bad_requests_rejected(self, running_server):
+    def test_bad_requests_rejected(self, running_server, monkeypatch):
         server, client = running_server
         num_nodes = server.service.snapshot().num_nodes
         with pytest.raises(ServeClientError) as exc:
@@ -82,6 +100,16 @@ class TestHTTPEndpoints:
             with pytest.raises(ServeClientError) as exc:
                 client._request("POST", "/predict", {"node": node})
             assert exc.value.status == 400
+        # Hostile Content-Length headers are answered without reading the
+        # body: -1 would read until EOF and a huge length until the client
+        # leaves, each holding a handler thread without a response.
+        for length, status in (("-1", 400), ("12abc", 400), ("1_0", 400),
+                               ("999999999", 413)):
+            assert _raw_post(server.port, length, b'{"node": 0}') == status
+        # A body that stops arriving closes its connection after the timeout.
+        monkeypatch.setattr(_Handler, "body_timeout_s", 0.2)
+        assert _raw_post(server.port, "100", b'{"node": 0}') == 408
+        assert client.health()["status"] == "ok"
 
     def test_keep_alive_requests_do_not_stall(self, running_server):
         """Sequential requests on one connection never wait for a delayed ACK."""
