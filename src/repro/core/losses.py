@@ -57,25 +57,13 @@ def supervised_contrastive_loss(
 
     ``features`` must already be L2-normalized; pass embeddings for the
     embedding-level loss or normalized logits for the logit-level loss.
+
+    The loss is one autodiff op (:func:`repro.nn.functional.supervised_contrastive`)
+    whose backward is the closed-form SupCon gradient: with ``S = Z Z^T / tau``
+    over the 2N rows and ``M`` the positive mask,
+    ``G = (softmax(S) - M / |P|) * g / (2N tau)`` and ``dZ = G Z + G^T Z``.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    total = features.shape[0]
-    mask = _positive_mask(group_ids)
-    positive_counts = mask.sum(axis=1)
-    if (positive_counts == 0).any():
-        raise RuntimeError("every sample must have at least one positive (its other view)")
-
-    similarities = features.matmul(features.transpose()) * (1.0 / temperature)
-    # Exclude self-similarity from the softmax denominator.
-    diag_mask = np.zeros((total, total))
-    np.fill_diagonal(diag_mask, -1e9)
-    logits = similarities + Tensor(diag_mask)
-    log_prob = F.log_softmax(logits, axis=1)
-
-    positives = (log_prob * Tensor(mask.astype(np.float64))).sum(axis=1)
-    per_sample = positives * Tensor(1.0 / positive_counts)
-    return -per_sample.mean()
+    return F.supervised_contrastive(features, _positive_mask(group_ids), temperature)
 
 
 def info_nce_loss(features: Tensor, temperature: float = 0.7) -> Tensor:

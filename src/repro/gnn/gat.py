@@ -15,11 +15,13 @@ Backends
 --------
 ``backend="sparse"`` (default) evaluates attention on the edge list,
 vectorized across all heads in a single batched projection.  Its per-edge
-reductions run on the segment kernels of :mod:`repro.nn.segment`: the
-segment softmax reduces by target with ``np.maximum.reduceat`` and a CSR
-incidence matmul, and the aggregation ``z_j = sum_i alpha_ij h_i`` is one
-autodiff op (:func:`repro.nn.tensor.edge_aggregate`), a weighted CSR matmul
-per head whose backward is a by-source CSR matmul plus a per-edge dot.  No
+half is two autodiff ops on the segment kernels of :mod:`repro.nn.segment`.
+Steps 2 and 3 are :func:`repro.nn.tensor.edge_softmax`, which reduces by
+target with ``np.maximum.reduceat`` and a CSR incidence matmul and whose
+backward sums the score gradients by source and by target.  Step 4's
+aggregation ``z_j = sum_i alpha_ij h_i`` is
+:func:`repro.nn.tensor.edge_aggregate`, a weighted CSR matmul per head whose
+backward is a by-source CSR matmul plus a per-edge dot.  No
 ``E x H x d`` message tensor is built in either direction, so a forward
 holds O(N * H * d + E * H) memory, where ``E`` is the number of edges (incl.
 self loops), ``H`` the head count, and ``d`` the per-head width.  The edges
@@ -48,7 +50,7 @@ from ..nn import functional as F
 from ..nn.init import glorot_uniform
 from ..nn.layers import Dropout, Module, Parameter
 from ..nn.segment import EdgeGroups
-from ..nn.tensor import Tensor, cat, edge_aggregate, no_grad
+from ..nn.tensor import Tensor, cat, edge_aggregate, edge_softmax, no_grad
 from .backends import check_backend
 
 
@@ -122,13 +124,12 @@ class GATLayer(Module):
         those rows; ``edges.src`` indexes rows of ``projected`` and
         ``score_src``.  The edges must be every incoming edge of each
         target, since the softmax normalizes over them.  Returns one output
-        row per target.
+        row per target.  Two fused ops do the work: :func:`edge_softmax`
+        turns the scores into attention coefficients, and, after attention
+        dropout, :func:`edge_aggregate` sums the weighted source rows.
         """
         num_targets = score_dst.shape[0]
-        edge_scores = (
-            score_src.gather_rows(edges.by_source) + score_dst.gather_rows(edges.by_target)
-        ).leaky_relu(self.negative_slope)  # (E, H)
-        alpha = F.segment_softmax(edge_scores, edges.by_target, num_targets)
+        alpha = edge_softmax(score_src, score_dst, edges, self.negative_slope)  # (E, H)
         alpha = self.att_dropout(alpha)
         aggregated = edge_aggregate(projected, alpha, edges)  # (T, H, O)
 
@@ -141,12 +142,12 @@ class GATLayer(Module):
         """Reference path: per-head masked N x N attention (O(N^2) memory).
 
         The additive mask is log(multiplicity): 0 on single edges, -inf on
-        non-edges, so the row softmax over sources matches the segment
-        softmax over incoming edges; a duplicated directed edge carries its
-        attention mass once per copy, exactly like the edge list.  Rows of
-        nodes with no incoming edges would softmax to 0/0 = NaN; they are
-        left unmasked and zeroed through ``row_gate`` instead, matching the
-        all-zero rows the sparse scatter-add produces.
+        non-edges, so the row softmax over sources matches
+        :func:`edge_softmax` over incoming edges; a duplicated directed edge
+        carries its attention mass once per copy, exactly like the edge
+        list.  Rows of nodes with no incoming edges would softmax to 0/0 =
+        NaN; they are left unmasked and zeroed through ``row_gate`` instead,
+        matching the all-zero rows the sparse aggregation produces.
         """
         multiplicity = np.zeros((num_nodes, num_nodes))
         np.add.at(multiplicity, (dst, src), 1.0)

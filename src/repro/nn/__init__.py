@@ -16,6 +16,7 @@ from .tensor import (
     Tensor,
     cat,
     edge_aggregate,
+    edge_softmax,
     is_grad_enabled,
     no_grad,
     ones,
@@ -28,6 +29,7 @@ __all__ = [
     "Tensor",
     "cat",
     "sparse_matmul",
+    "edge_softmax",
     "edge_aggregate",
     "Segments",
     "EdgeGroups",

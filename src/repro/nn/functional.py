@@ -3,17 +3,17 @@
 These functions implement the numerically stable primitives used by the
 OpenIMA training objective and its baselines: softmax / log-softmax,
 cross-entropy over labeled nodes, L2 row normalization (for contrastive
-losses), segment softmax (per-destination normalization of edge attention
-scores in GAT), and dropout.
+losses), the supervised contrastive loss (one op with a closed-form
+gradient), and dropout.  GAT's per-target softmax over edge attention
+scores is the fused op :func:`repro.nn.tensor.edge_softmax`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .segment import Segments
 from .tensor import Tensor, sparse_matmul
 
 __all__ = [
@@ -23,7 +23,7 @@ __all__ = [
     "binary_cross_entropy_with_logits",
     "l2_normalize",
     "dropout",
-    "segment_softmax",
+    "supervised_contrastive",
     "pairwise_cosine_similarity",
     "sparse_matmul",
 ]
@@ -103,29 +103,51 @@ def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Gene
     return x * Tensor(mask)
 
 
-def segment_softmax(scores: Tensor, segment_ids: Union[np.ndarray, Segments],
-                    num_segments: int) -> Tensor:
-    """Softmax of ``scores`` within segments defined by ``segment_ids``.
+def supervised_contrastive(features: Tensor, positives: np.ndarray,
+                           temperature: float) -> Tensor:
+    """Supervised contrastive loss of the rows of ``features``, as one op.
 
-    Used to normalize GAT attention coefficients over the incoming edges of
-    each destination node.  ``scores`` has shape (num_edges,) or
-    (num_edges, heads); ``segment_ids`` assigns each edge to a destination
-    node in ``[0, num_segments)``, either as an integer array (grouped for
-    this call) or as a cached :class:`~repro.nn.segment.Segments`.  The
-    per-segment maximum and sum run on that one grouping
-    (``np.maximum.reduceat`` and a CSR incidence matmul).
+    ``positives[i, j]`` marks row ``j`` as a positive of row ``i`` (never
+    ``i`` itself).  With ``S = Z Z^T / tau`` and each row's softmax taken
+    over the other rows, the loss is the mean over rows ``i`` of
+    ``log sum_{k != i} exp(S_ik) - mean_{p in P_i} S_ip`` (Khosla et al.,
+    NeurIPS 2020, https://arxiv.org/abs/2004.11362).  The forward builds
+    ``S`` once, masks its diagonal and subtracts each row's maximum in
+    place.  The backward is the closed-form gradient
+    ``G = (softmax(S) - M / |P|) * g / (n tau)``, ``dZ = G Z + G^T Z`` for
+    ``n`` rows and the positive mask ``M``: two matmuls.  It keeps one
+    ``n x n`` float array, ``exp(S)``, next to the boolean mask, instead of
+    a chain of ``n x n`` autodiff nodes.
     """
-    segments = (segment_ids if isinstance(segment_ids, Segments)
-                else Segments(segment_ids, num_segments))
-    # Subtract the per-segment maximum (computed outside the graph) for
-    # numerical stability; segments with no finite score shift by 0.
-    seg_max = segments.max(scores.data)
-    seg_max[~np.isfinite(seg_max)] = 0.0
-    shifted = scores - Tensor(seg_max[segments.ids])
-    exp = shifted.exp()
-    denom = exp.scatter_add_rows(segments, num_segments)
-    denom_per_edge = denom.gather_rows(segments)
-    return exp / (denom_per_edge + 1e-16)
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    total = features.shape[0]
+    positives = np.asarray(positives, dtype=bool)
+    if positives.shape != (total, total):
+        raise ValueError(f"positives must be {total} x {total}, got {positives.shape}")
+    counts = positives.sum(axis=1)
+    if (counts == 0).any():
+        raise RuntimeError("every sample must have at least one positive (its other view)")
+    z = features.data
+    logits = z @ z.T
+    logits *= 1.0 / temperature
+    # Self-similarity leaves the softmax: exp(S_ii - 1e9) is exactly 0.
+    logits.flat[::total + 1] -= 1e9
+    logits -= logits.max(axis=1, keepdims=True)
+    positive_mean = logits.sum(axis=1, where=positives) / counts
+    exp = np.exp(logits, out=logits)
+    row_sums = exp.sum(axis=1, keepdims=True)
+    loss = np.log(row_sums).mean() - positive_mean.mean()
+
+    def backward(grad: np.ndarray) -> None:
+        coeff = exp / row_sums
+        np.subtract(coeff, 1.0 / counts[:, None], out=coeff, where=positives)
+        coeff *= grad / (total * temperature)
+        grad_z = coeff @ z
+        grad_z += coeff.T @ z
+        features._accumulate(grad_z)
+
+    return Tensor._make(np.asarray(loss), (features,), backward)
 
 
 def pairwise_cosine_similarity(x: Tensor) -> Tensor:

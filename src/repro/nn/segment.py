@@ -106,7 +106,8 @@ class Segments:
         if nonempty.any():
             # Empty keys contribute no start, so each reduceat span is
             # exactly one nonempty key's rows.
-            out[nonempty] = np.maximum.reduceat(values[self.order], starts[nonempty], axis=0)
+            grouped = values.take(self.order, axis=0)
+            out[nonempty] = np.maximum.reduceat(grouped, starts[nonempty], axis=0)
         return out
 
 

@@ -2,9 +2,9 @@
 
 This module provides the :class:`Tensor` class, a small but complete autodiff
 engine that supports every operation needed to train the graph neural networks
-used in this repository (matrix multiplication, row gather/scatter for
-message passing, element-wise math, reductions, dropout masking, and the
-activation functions used by GAT/GCN encoders).
+used in this repository (matrix multiplication, row gathers, the fused GAT
+edge softmax and aggregation, element-wise math, reductions, dropout
+masking, and the activation functions used by GAT/GCN encoders).
 
 The design mirrors the familiar PyTorch semantics:
 
@@ -475,20 +475,14 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def gather_rows(self, indices: Union[np.ndarray, Segments]) -> "Tensor":
-        """Select rows ``self[indices]``; gradients sum back per row.
-
-        ``indices`` is an integer array or a :class:`Segments` keyed on this
-        tensor's rows, whose grouping the backward then reuses instead of
-        sorting the indices again.
-        """
-        segments = indices if isinstance(indices, Segments) else None
-        ids = segments.ids if segments is not None else np.asarray(indices, dtype=np.int64)
+    def gather_rows(self, indices: np.ndarray) -> "Tensor":
+        """Select rows ``self[indices]``; gradients sum back per row."""
+        ids = np.asarray(indices, dtype=np.int64)
         out_data = self.data[ids]
         shape = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
-            by_row = segments if segments is not None else Segments(ids.ravel(), shape[0])
+            by_row = Segments(ids.ravel(), shape[0])
             self._accumulate(by_row.sum(grad.reshape(ids.size, *shape[1:])))
 
         return Tensor._make(out_data, (self,), backward)
@@ -503,22 +497,6 @@ class Tensor:
             full = np.zeros(shape, dtype=np.float64)
             full[indices] = grad
             self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def scatter_add_rows(self, indices: Union[np.ndarray, Segments], num_rows: int) -> "Tensor":
-        """Sum rows of ``self`` into ``num_rows`` rows: ``out[indices[i]] += self[i]``.
-
-        ``indices`` is an integer array or a cached :class:`Segments` over
-        ``num_rows`` keys.  The backward pass gathers gradients back to the
-        source rows.  This is the aggregation primitive used by
-        message-passing GNN layers.
-        """
-        segments = indices if isinstance(indices, Segments) else Segments(indices, num_rows)
-        out_data = segments.sum(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad[segments.ids])
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -588,6 +566,53 @@ def sparse_matmul(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
     return Tensor._make(out_data, (dense_t,), backward)
 
 
+def edge_softmax(score_src: Tensor, score_dst: Tensor, edges: EdgeGroups,
+                 negative_slope: float) -> Tensor:
+    """GAT's attention coefficients: a softmax over each target's incoming edges.
+
+    ``alpha[e] = exp(x[e]) / (sum of exp(x[e']) over edges e' into dst[e])``
+    with ``x[e] = LeakyReLU(score_src[src[e]] + score_dst[dst[e]])``, for
+    scores of shape (N, ...) and (T, ...) (one column per head); returns
+    (E, ...).  Each target's maximum is subtracted before ``exp`` and its
+    sum gets ``1e-16``; a target with no incoming edge gets no row.
+
+    One op in place of the chain of two gathers, add, leaky-ReLU, max
+    shift, ``exp``, scatter-add, gather and divide.  The backward repeats
+    that chain's float operations in the same order (``g / d``; the
+    denominator's term summed by target and gathered back; times ``exp``;
+    times the leaky slope; summed by source and by target), so the output
+    and both gradients are bitwise equal to it; ``tests/nn/test_segment.py``
+    checks them against ``ref_segment_softmax`` over ``ref_gather`` scores.
+    Every reduction runs on the cached groupings of ``edges``, and the
+    backward keeps three ``E x H`` arrays: ``exp``, the denominators, and
+    the leaky-ReLU sign mask.
+    """
+    by_target = edges.by_target
+    src, dst = edges.src, edges.dst
+    # ``take`` copies the same rows as ``[...]`` indexing, several times faster.
+    scores = score_src.data.take(src, axis=0) + score_dst.data.take(dst, axis=0)
+    positive = scores > 0
+    scores *= np.where(positive, 1.0, negative_slope)
+    seg_max = by_target.max(scores)
+    seg_max[~np.isfinite(seg_max)] = 0.0
+    scores -= seg_max.take(dst, axis=0)
+    exp = np.exp(scores, out=scores)
+    denom = by_target.sum(exp).take(dst, axis=0)
+    denom += 1e-16
+    out_data = exp / denom
+
+    def backward(grad: np.ndarray) -> None:
+        grad_exp = grad / denom
+        grad_exp += by_target.sum(-grad * exp / (denom ** 2)).take(dst, axis=0)
+        grad_scores = grad_exp * exp * np.where(positive, 1.0, negative_slope)
+        if score_src.requires_grad:
+            score_src._accumulate(edges.by_source.sum(grad_scores))
+        if score_dst.requires_grad:
+            score_dst._accumulate(by_target.sum(grad_scores))
+
+    return Tensor._make(out_data, (score_src, score_dst), backward)
+
+
 #: Edges per block of the per-edge dot in :func:`edge_aggregate`'s backward.
 _EDGE_BLOCK = 4096
 
@@ -598,7 +623,8 @@ def edge_aggregate(values: Tensor, weights: Tensor, edges: EdgeGroups) -> Tensor
     ``out[t, h] = sum over edges e into t of weights[e, h] * values[src[e], h]``
     for ``values`` of shape (N, H, O) and ``weights`` of shape (E, H);
     returns (T, H, O).  The result and both gradients are bitwise equal to
-    ``(values.gather_rows(src) * weights.reshape(E, H, 1)).scatter_add_rows(dst, T)``,
+    gathering the source rows, scaling them by ``weights`` and scatter-adding
+    them by target (``ref_aggregate`` in ``tests/nn/test_segment.py``),
     but no ``E x H x O`` message buffer exists in either direction: the
     forward is one weighted CSR matmul per head over the by-target grouping,
     and the backward, head by head, one by-source CSR matmul for ``values``

@@ -73,7 +73,16 @@ class ServingSnapshot:
                 "graph_version": self.graph_version}
 
     def query(self, nodes: Sequence[int]) -> List[dict]:
-        """Per-node prediction payloads for ``nodes`` (validated ids)."""
+        """Per-node prediction payloads for ``nodes`` (validated ids).
+
+        An id is an integer (numpy integers included) that is not a
+        ``bool``; anything else (``2.7``, ``True``, ``"5"``) raises
+        ``TypeError`` before any node is looked up.
+        """
+        nodes = list(nodes)
+        for raw in nodes:
+            if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
+                raise TypeError(f"node ids must be integers, got {raw!r}")
         payloads = []
         for raw in nodes:
             node = int(raw)

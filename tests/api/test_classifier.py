@@ -18,9 +18,10 @@ from repro.core.config import OpenIMAConfig, fast_config
 TINY = {"scale": 0.15, "seed": 0}
 
 
-def make_classifier(method="openima", max_epochs=2, **kwargs):
+def make_classifier(method="openima", max_epochs=2, encoder="gcn", **kwargs):
     return OpenWorldClassifier(
-        method, config=fast_config(max_epochs=max_epochs, seed=0), **kwargs
+        method, config=fast_config(max_epochs=max_epochs, seed=0, encoder_kind=encoder),
+        **kwargs
     )
 
 
@@ -127,11 +128,17 @@ class TestSaveLoadRoundTrip:
 class TestResumeParity:
     """A run interrupted by save/load must match an uninterrupted run exactly."""
 
-    @pytest.mark.parametrize("method", ["openima", "opencon"])
-    def test_resume_matches_uninterrupted(self, method, tmp_path):
-        uninterrupted = make_classifier(method, max_epochs=4).fit("citeseer", **TINY)
+    @pytest.mark.parametrize("method, encoder", [
+        pytest.param("openima", "gcn", id="openima"),
+        pytest.param("opencon", "gcn", id="opencon"),
+        pytest.param("openima", "gat", id="openima-gat"),
+        pytest.param("opencon", "gat", id="opencon-gat"),
+    ])
+    def test_resume_matches_uninterrupted(self, method, encoder, tmp_path):
+        uninterrupted = make_classifier(method, max_epochs=4, encoder=encoder).fit(
+            "citeseer", **TINY)
 
-        interrupted = make_classifier(method, max_epochs=4)
+        interrupted = make_classifier(method, max_epochs=4, encoder=encoder)
         interrupted.fit("citeseer", max_epochs=2, **TINY)
         interrupted.save(tmp_path / "mid")
         resumed = OpenWorldClassifier.load(tmp_path / "mid")

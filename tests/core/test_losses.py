@@ -26,6 +26,18 @@ def normalized_features(array):
     return F.l2_normalize(Tensor(np.asarray(array, dtype=float)))
 
 
+def reference_supcon(features, group_ids, temperature):
+    """SupCon as a chain of autodiff ops: the reference for the fused op."""
+    total = features.shape[0]
+    mask = _positive_mask(group_ids)
+    similarities = features.matmul(features.transpose()) * (1.0 / temperature)
+    diag_mask = np.zeros((total, total))
+    np.fill_diagonal(diag_mask, -1e9)
+    log_prob = F.log_softmax(similarities + Tensor(diag_mask), axis=1)
+    positives = (log_prob * Tensor(mask.astype(np.float64))).sum(axis=1)
+    return -(positives * Tensor(1.0 / mask.sum(axis=1))).mean()
+
+
 class TestPositiveMask:
     def test_view_pairs_always_positive(self):
         mask = _positive_mask(np.array([-1, -1, -1, -1]))
@@ -90,6 +102,32 @@ class TestSupervisedContrastiveLoss:
         loss.backward()
         assert raw.grad is not None
         assert np.isfinite(raw.grad).all()
+
+    # 6 x 4, then the train workload's embedding and logit batches under
+    # fast_config (2N = 768 rows, 16 embedding dims, 47 classes).
+    @pytest.mark.parametrize("rows, dim", [(6, 4), (768, 16), (768, 47)])
+    @pytest.mark.parametrize("labeled", [False, True], ids=["all-unlabeled", "mixed-ids"])
+    def test_matches_autodiff_chain(self, rows, dim, labeled):
+        rng = np.random.default_rng(rows + dim)
+        classes = rng.integers(0, max(1, rows // 16), size=rows // 2)
+        labels = np.where(rng.random(rows // 2) < 0.4, -1, classes)
+        if not labeled:
+            labels[:] = -1
+        group_ids = np.concatenate([labels, labels])
+        raw = rng.normal(size=(rows, dim))
+        z = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+        def loss_and_grad(loss_fn):
+            features = Tensor(z, requires_grad=True)
+            loss = loss_fn(features, group_ids, 0.7)
+            loss.backward()
+            return loss.item(), features.grad
+
+        loss, grad = loss_and_grad(supervised_contrastive_loss)
+        ref_loss, ref_grad = loss_and_grad(reference_supcon)
+        # Tolerances set from float64 rounding over a 768-term reordered sum.
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-9, atol=1e-15)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-15)
 
     def test_invalid_temperature(self):
         features = normalized_features(np.eye(4))

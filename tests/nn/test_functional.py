@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.nn.tensor import Tensor
+from repro.nn.segment import EdgeGroups
+from repro.nn.tensor import Tensor, edge_softmax
 
 
 class TestSoftmax:
@@ -130,34 +131,45 @@ class TestDropout:
         np.testing.assert_array_equal(F.dropout(x, 0.0, training=True).data, x.data)
 
 
+def one_edge_per_score(segments: np.ndarray, num_segments: int) -> EdgeGroups:
+    """Edge ``e`` runs from node ``e`` into ``segments[e]``: source scores are edge scores."""
+    return EdgeGroups(np.arange(segments.shape[0]), segments, segments.shape[0], num_segments)
+
+
 class TestSegmentSoftmax:
+    """The per-target softmax of GAT attention, :func:`repro.nn.tensor.edge_softmax`."""
+
     def test_segments_sum_to_one(self):
         scores = Tensor(np.random.default_rng(9).normal(size=8))
         segments = np.array([0, 0, 0, 1, 1, 2, 2, 2])
-        out = F.segment_softmax(scores, segments, num_segments=3).data
+        edges = one_edge_per_score(segments, 3)
+        out = edge_softmax(scores, Tensor(np.zeros(3)), edges, 0.2).data
         for segment in range(3):
             np.testing.assert_allclose(out[segments == segment].sum(), 1.0, atol=1e-9)
 
     def test_single_edge_segment_gets_probability_one(self):
-        scores = Tensor(np.array([3.0, -1.0]))
-        segments = np.array([0, 1])
-        out = F.segment_softmax(scores, segments, num_segments=2).data
+        edges = one_edge_per_score(np.array([0, 1]), 2)
+        out = edge_softmax(Tensor(np.array([3.0, -1.0])), Tensor(np.zeros(2)), edges, 0.2).data
         np.testing.assert_allclose(out, [1.0, 1.0], atol=1e-9)
 
     def test_multihead_scores(self):
-        scores = Tensor(np.random.default_rng(10).normal(size=(6, 2)))
-        segments = np.array([0, 0, 1, 1, 1, 1])
-        out = F.segment_softmax(scores, segments, num_segments=2).data
+        rng = np.random.default_rng(10)
+        edges = one_edge_per_score(np.array([0, 0, 1, 1, 1, 1]), 2)
+        out = edge_softmax(Tensor(rng.normal(size=(6, 2))), Tensor(rng.normal(size=(2, 2))),
+                           edges, 0.2).data
         np.testing.assert_allclose(out[:2].sum(axis=0), np.ones(2), atol=1e-9)
         np.testing.assert_allclose(out[2:].sum(axis=0), np.ones(2), atol=1e-9)
 
     def test_gradient_flows(self):
-        scores = Tensor(np.random.default_rng(11).normal(size=5), requires_grad=True)
-        segments = np.array([0, 0, 1, 1, 1])
-        out = F.segment_softmax(scores, segments, num_segments=2)
+        rng = np.random.default_rng(11)
+        score_src = Tensor(rng.normal(size=5), requires_grad=True)
+        score_dst = Tensor(rng.normal(size=2), requires_grad=True)
+        out = edge_softmax(score_src, score_dst, one_edge_per_score(np.array([0, 0, 1, 1, 1]), 2),
+                           0.2)
         (out * out).sum().backward()
-        assert scores.grad is not None
-        assert np.isfinite(scores.grad).all()
+        for scores in (score_src, score_dst):
+            assert scores.grad is not None
+            assert np.isfinite(scores.grad).all()
 
 
 class TestPairwiseCosine:

@@ -13,11 +13,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.core.losses import supervised_contrastive_loss
 from repro.nn import functional as F
 from repro.nn.segment import EdgeGroups
-from repro.nn.tensor import Tensor, cat, edge_aggregate, sparse_matmul, stack
+from repro.nn.tensor import Tensor, cat, edge_aggregate, edge_softmax, sparse_matmul, stack
 
 from .gradcheck import gradcheck
+
+#: A multigraph: duplicate edge 1->0, self loop 2->2, node 3 with no in-edge.
+ATTENTION_EDGES = EdgeGroups(np.array([1, 2, 1, 0, 2, 3]), np.array([0, 2, 0, 1, 1, 2]), 4, 4)
 
 
 @pytest.fixture()
@@ -173,10 +177,6 @@ class TestShapeOps:
     def test_getitem_int(self, rng):
         gradcheck(lambda a: a[2], [rng.normal(size=(4, 5))])
 
-    def test_scatter_add_rows(self, rng):
-        indices = np.array([1, 0, 1, 3])
-        gradcheck(lambda a: a.scatter_add_rows(indices, 4), [rng.normal(size=(4, 5))])
-
     def test_cat(self, rng):
         gradcheck(
             lambda a, b: cat([a, b], axis=0),
@@ -255,22 +255,31 @@ class TestFunctionalComposites:
         gradcheck(lambda a: F.l2_normalize(a, axis=-1), [rng.normal(size=(3, 4))])
 
     def test_segment_softmax_1d(self, rng):
-        segments = np.array([0, 0, 1, 2, 2, 2])
+        """:func:`edge_softmax` with one head (scores without a head axis)."""
         gradcheck(
-            lambda a: F.segment_softmax(a, segments, 3), [rng.normal(size=(6,))]
+            lambda src, dst: edge_softmax(src, dst, ATTENTION_EDGES, 0.2),
+            [rng.normal(size=(4,)), rng.normal(size=(4,))],
         )
 
     def test_segment_softmax_2d(self, rng):
-        segments = np.array([0, 0, 1, 2, 2, 2])
+        """:func:`edge_softmax` with two heads."""
         gradcheck(
-            lambda a: F.segment_softmax(a, segments, 3), [rng.normal(size=(6, 2))]
+            lambda src, dst: edge_softmax(src, dst, ATTENTION_EDGES, 0.2),
+            [rng.normal(size=(4, 2)), rng.normal(size=(4, 2))],
+        )
+
+    def test_supervised_contrastive(self, rng):
+        # Four nodes, two views each: nodes 0 and 3 share id 0, node 2 (-1)
+        # pairs only with its other view.
+        group_ids = np.array([0, 1, -1, 0, 0, 1, -1, 0])
+        gradcheck(
+            lambda z: supervised_contrastive_loss(z, group_ids, 0.7),
+            [rng.normal(size=(8, 3))],
         )
 
     def test_edge_aggregate(self, rng):
-        # A multigraph: duplicate edge 1->0, self loop 2->2, node 3 with no in-edge.
-        edges = EdgeGroups(np.array([1, 2, 1, 0, 2, 3]), np.array([0, 2, 0, 1, 1, 2]), 4, 4)
         gradcheck(
-            lambda values, weights: edge_aggregate(values, weights, edges),
+            lambda values, weights: edge_aggregate(values, weights, ATTENTION_EDGES),
             [rng.normal(size=(4, 2, 3)), rng.uniform(0.1, 1.0, size=(6, 2))],
         )
 

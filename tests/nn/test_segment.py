@@ -1,8 +1,8 @@
-"""Segment kernels and the fused GAT aggregation, bit for bit.
+"""Segment kernels and the fused GAT attention ops, bit for bit.
 
-Every kernel in :mod:`repro.nn.segment`, the tensor ops built on it
-(``scatter_add_rows``, the ``gather_rows`` backward, ``segment_softmax``)
-and :func:`repro.nn.tensor.edge_aggregate` are checked for exact equality
+Every kernel in :mod:`repro.nn.segment`, the ``gather_rows`` backward built
+on it, and GAT's two fused ops :func:`repro.nn.tensor.edge_softmax` and
+:func:`repro.nn.tensor.edge_aggregate` are checked for exact equality
 (``np.array_equal``, not a tolerance) against ``np.add.at`` /
 ``np.maximum.at`` compositions kept in this file: forward values and the
 gradient of every input.  The graphs are random multigraphs with duplicate
@@ -15,9 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
 from repro.nn.segment import EdgeGroups, Segments
-from repro.nn.tensor import Tensor, edge_aggregate
+from repro.nn.tensor import Tensor, edge_aggregate, edge_softmax
 
 NUM_NODES = 23
 HEADS = 3
@@ -61,6 +60,12 @@ def ref_segment_softmax(scores: Tensor, ids: np.ndarray, n: int) -> Tensor:
     exp = (scores - Tensor(seg_max[ids])).exp()
     denom = ref_scatter(exp, ids, n)
     return exp / (ref_gather(denom, ids) + 1e-16)
+
+
+def ref_attention(score_src: Tensor, score_dst: Tensor, src, dst, n) -> Tensor:
+    """The chain :func:`edge_softmax` fuses: gathers, add, leaky-ReLU, segment softmax."""
+    scores = (ref_gather(score_src, src) + ref_gather(score_dst, dst)).leaky_relu(0.2)
+    return ref_segment_softmax(scores, dst, n)
 
 
 def ref_aggregate(values: Tensor, weights: Tensor, src, dst, n) -> Tensor:
@@ -180,20 +185,11 @@ def assert_runs_equal(new, ref):
 
 
 class TestTensorOps:
-    def test_scatter_add_rows(self, graph, rng):
-        _, dst = graph
-        values = rng.normal(size=(dst.shape[0], HEADS))
-        ref = run(lambda t: ref_scatter(t, dst, NUM_NODES), values)
-        assert_runs_equal(run(lambda t: t.scatter_add_rows(dst, NUM_NODES), values), ref)
-        grouped = Segments(dst, NUM_NODES)
-        assert_runs_equal(run(lambda t: t.scatter_add_rows(grouped, NUM_NODES), values), ref)
-
     def test_gather_rows_backward(self, graph, rng):
         src, _ = graph
         values = rng.normal(size=(NUM_NODES, HEADS, WIDTH))
-        ref = run(lambda t: ref_gather(t, src), values)
-        assert_runs_equal(run(lambda t: t.gather_rows(src), values), ref)
-        assert_runs_equal(run(lambda t: t.gather_rows(Segments(src, NUM_NODES)), values), ref)
+        assert_runs_equal(run(lambda t: t.gather_rows(src), values),
+                          run(lambda t: ref_gather(t, src), values))
 
     def test_gather_rows_2d_indices(self, rng):
         ids = rng.integers(0, 6, size=(9, 2))
@@ -203,12 +199,14 @@ class TestTensorOps:
 
     @pytest.mark.parametrize("tail", [(), (HEADS,)])
     def test_segment_softmax(self, graph, rng, tail):
-        _, dst = graph
-        scores = rng.normal(size=(dst.shape[0], *tail))
-        ref = run(lambda t: ref_segment_softmax(t, dst, NUM_NODES), scores)
-        assert_runs_equal(run(lambda t: F.segment_softmax(t, dst, NUM_NODES), scores), ref)
-        grouped = Segments(dst, NUM_NODES)
-        assert_runs_equal(run(lambda t: F.segment_softmax(t, grouped, NUM_NODES), scores), ref)
+        """:func:`edge_softmax`, one head without a head axis and several heads."""
+        for edges in edge_sets(*graph):
+            score_src = rng.normal(size=(NUM_NODES, *tail))
+            score_dst = rng.normal(size=(edges.num_targets, *tail))
+            ref = run(lambda s, d, e=edges: ref_attention(s, d, e.src, e.dst, e.num_targets),
+                      score_src, score_dst)
+            assert_runs_equal(run(lambda s, d, e=edges: edge_softmax(s, d, e, 0.2),
+                                  score_src, score_dst), ref)
 
     def test_edge_aggregate(self, graph, rng):
         for edges in edge_sets(*graph):
@@ -235,25 +233,20 @@ class TestTensorOps:
     def test_gat_attention_matches_add_at_composition(self, graph, rng):
         """The whole per-edge half of a GAT layer, every input gradient included."""
 
-        def attend(gather, softmax, aggregate):
+        def attend(softmax, aggregate):
             def fn(x, weight, att_src, att_dst):
                 projected = x.matmul(weight).transpose((1, 0, 2))
                 score_src = (projected * att_src).sum(axis=-1)
                 score_dst = (projected * att_dst).sum(axis=-1)
-                scores = (gather(score_src, "src") + gather(score_dst, "dst")).leaky_relu(0.2)
-                alpha = softmax(scores)
+                alpha = softmax(score_src, score_dst)
                 return aggregate(projected, alpha).mean(axis=1)
             return fn
 
         src, dst = graph
         edges = EdgeGroups(src, dst, NUM_NODES, NUM_NODES)
-        by = {"src": edges.by_source, "dst": edges.by_target}
-        ends = {"src": src, "dst": dst}
-        new = attend(lambda t, end: t.gather_rows(by[end]),
-                     lambda s: F.segment_softmax(s, edges.by_target, NUM_NODES),
+        new = attend(lambda s, d: edge_softmax(s, d, edges, 0.2),
                      lambda p, a: edge_aggregate(p, a, edges))
-        ref = attend(lambda t, end: ref_gather(t, ends[end]),
-                     lambda s: ref_segment_softmax(s, dst, NUM_NODES),
+        ref = attend(lambda s, d: ref_attention(s, d, src, dst, NUM_NODES),
                      lambda p, a: ref_aggregate(p, a, src, dst, NUM_NODES))
         inputs = (rng.normal(size=(NUM_NODES, 4)), rng.normal(size=(HEADS, 4, WIDTH)),
                   rng.normal(size=(HEADS, WIDTH)), rng.normal(size=(HEADS, WIDTH)))

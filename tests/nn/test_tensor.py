@@ -231,13 +231,6 @@ class TestIndexingAndShapes:
         expected[2] = 2.0
         np.testing.assert_allclose(t.grad, expected)
 
-    def test_scatter_add_rows(self):
-        t = Tensor(np.ones((3, 2)), requires_grad=True)
-        out = t.scatter_add_rows(np.array([0, 0, 1]), num_rows=2)
-        np.testing.assert_allclose(out.data, [[2.0, 2.0], [1.0, 1.0]])
-        out.sum().backward()
-        np.testing.assert_allclose(t.grad, np.ones((3, 2)))
-
     def test_getitem_tuple(self):
         t = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
         picked = t[np.array([0, 1]), np.array([2, 0])]

@@ -103,6 +103,19 @@ class TestQueryParity:
         with pytest.raises(IndexError):
             service.query_one(-1)
 
+    @pytest.mark.parametrize("raw", [2.7, True, "5", np.float64(3.9)],
+                             ids=["float", "bool", "str", "numpy-float"])
+    def test_non_integer_node_rejected(self, served_classifier, raw):
+        service = PredictionService(served_classifier)
+        num_nodes = service.snapshot().num_nodes
+        # The type check runs before any lookup: no IndexError for the first id.
+        with pytest.raises(TypeError):
+            service.query([num_nodes, raw])
+
+    def test_numpy_integer_node_accepted(self, served_classifier):
+        service = PredictionService(served_classifier)
+        assert service.query([np.int64(4)]) == service.query([4])
+
 
 class TestDiagnostics:
     def test_stats_and_info(self, served_classifier):
