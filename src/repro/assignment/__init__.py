@@ -6,6 +6,7 @@ from .alignment import (
     clustering_accuracy,
     contingency_matrix,
     hungarian_accuracy_mapping,
+    remap_predictions,
 )
 from .hungarian import hungarian, max_profit_assignment
 
@@ -16,5 +17,6 @@ __all__ = [
     "align_clusters_to_classes",
     "contingency_matrix",
     "hungarian_accuracy_mapping",
+    "remap_predictions",
     "clustering_accuracy",
 ]

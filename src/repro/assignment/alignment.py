@@ -36,6 +36,21 @@ def contingency_matrix(cluster_labels: np.ndarray, class_labels: np.ndarray,
     return matrix
 
 
+def _positions(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of every query in ``keys``; a ``KeyError`` names the first absent one.
+
+    A repeated key resolves to its last index, as in a dict built from
+    ``enumerate(keys)``.
+    """
+    order = np.argsort(keys, kind="stable")
+    found = np.searchsorted(keys[order], queries, side="right") - 1
+    hit = found >= 0
+    hit[hit] = keys[order[found[hit]]] == queries[hit]
+    if not hit.all():
+        raise KeyError(int(queries[~hit].flat[0]))
+    return order[found]
+
+
 @dataclass
 class ClusterAlignment:
     """Mapping from cluster ids to class ids.
@@ -51,9 +66,11 @@ class ClusterAlignment:
     unmatched_clusters: np.ndarray
 
     def apply(self, cluster_labels: np.ndarray) -> np.ndarray:
-        """Translate cluster ids into class ids."""
+        """Translate cluster ids into class ids (``KeyError`` for an unmapped id)."""
         cluster_labels = np.asarray(cluster_labels, dtype=np.int64)
-        return np.array([self.mapping[int(c)] for c in cluster_labels], dtype=np.int64)
+        clusters = np.fromiter(self.mapping.keys(), dtype=np.int64, count=len(self.mapping))
+        classes = np.fromiter(self.mapping.values(), dtype=np.int64, count=len(self.mapping))
+        return classes[_positions(clusters, cluster_labels)]
 
 
 def align_clusters_to_classes(
@@ -80,8 +97,7 @@ def align_clusters_to_classes(
         ``max(known_classes) + 1``.
     """
     known_classes = np.asarray(known_classes, dtype=np.int64)
-    class_index = {cls: i for i, cls in enumerate(known_classes)}
-    compact_classes = np.array([class_index[c] for c in class_labels], dtype=np.int64)
+    compact_classes = _positions(known_classes, np.asarray(class_labels, dtype=np.int64))
     counts = contingency_matrix(
         cluster_labels, compact_classes, num_clusters=num_clusters,
         num_classes=known_classes.shape[0],
@@ -101,23 +117,45 @@ def align_clusters_to_classes(
     return ClusterAlignment(mapping=mapping, matched_clusters=matched, unmatched_clusters=unmatched)
 
 
-def hungarian_accuracy_mapping(predictions: np.ndarray, targets: np.ndarray) -> Dict[int, int]:
-    """Best prediction-id -> target-id mapping for clustering accuracy."""
+def _match_ids(predictions: np.ndarray, targets: np.ndarray) -> tuple:
+    """Hungarian matching of predicted ids to target ids by co-occurrence.
+
+    Returns ``(pred_ids, pred_index, target_ids, rows, cols)``: the sorted
+    distinct ids, each prediction's position in ``pred_ids``, and the
+    matched ``(pred_ids[rows], target_ids[cols])`` pairs.
+    """
     predictions = np.asarray(predictions, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
-    pred_ids = np.unique(predictions)
-    target_ids = np.unique(targets)
-    pred_index = {p: i for i, p in enumerate(pred_ids)}
-    target_index = {t: i for i, t in enumerate(target_ids)}
-    counts = np.zeros((pred_ids.shape[0], target_ids.shape[0]), dtype=np.float64)
-    for p, t in zip(predictions, targets, strict=True):
-        counts[pred_index[p], target_index[t]] += 1
-    rows, cols = max_profit_assignment(counts)
+    if predictions.shape != targets.shape:
+        raise ValueError("predictions and targets must have the same shape")
+    pred_ids, pred_index = np.unique(predictions, return_inverse=True)
+    target_ids, target_index = np.unique(targets, return_inverse=True)
+    num_targets = target_ids.shape[0]
+    counts = np.bincount(pred_index * num_targets + target_index,
+                         minlength=pred_ids.shape[0] * num_targets)
+    rows, cols = max_profit_assignment(
+        counts.reshape(pred_ids.shape[0], num_targets).astype(np.float64))
+    return pred_ids, pred_index, target_ids, rows, cols
+
+
+def hungarian_accuracy_mapping(predictions: np.ndarray, targets: np.ndarray) -> Dict[int, int]:
+    """Best prediction-id -> target-id mapping for clustering accuracy."""
+    pred_ids, _, target_ids, rows, cols = _match_ids(predictions, targets)
     return {int(pred_ids[r]): int(target_ids[c]) for r, c in zip(rows, cols, strict=True)}
+
+
+def remap_predictions(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``predictions`` translated by :func:`hungarian_accuracy_mapping`.
+
+    Predicted ids the matching leaves unmatched (more predicted ids than
+    target ids) become ``-1``.
+    """
+    pred_ids, pred_index, target_ids, rows, cols = _match_ids(predictions, targets)
+    lookup = np.full(pred_ids.shape[0], -1, dtype=np.int64)
+    lookup[rows] = target_ids[cols]
+    return lookup[pred_index]
 
 
 def clustering_accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     """Standard clustering accuracy: best Hungarian matching, then accuracy."""
-    mapping = hungarian_accuracy_mapping(predictions, targets)
-    remapped = np.array([mapping.get(int(p), -1) for p in predictions], dtype=np.int64)
-    return float((remapped == targets).mean())
+    return float((remap_predictions(predictions, targets) == targets).mean())

@@ -3,8 +3,13 @@
 OpenIMA uses the Hungarian algorithm twice: to align cluster ids with class
 ids on the labeled nodes (Eq. 5) and to compute the clustering-accuracy
 evaluation metric.  This implementation is the O(n^3) shortest augmenting
-path formulation (Jonker-Volgenant style potentials) and works on
-rectangular cost matrices by padding.
+path formulation (Jonker & Volgenant, 1987, with row and column
+potentials) and works on rectangular cost matrices by transposing the tall
+ones.  Each step of an augmenting path updates the reduced costs of every
+free column in one array pass; ``argmin`` picks the first column of least
+reduced cost, the tie-break of a scalar loop that keeps a strictly smaller
+minimum.  Ties decide which optimal matching comes out, so do not swap in
+``scipy.optimize.linear_sum_assignment``: it breaks them differently.
 """
 
 from __future__ import annotations
@@ -25,11 +30,20 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     -------
     (row_indices, col_indices):
         Arrays such that ``cost[row_indices, col_indices].sum()`` is minimal
-        and each row/column is used at most once.
+        and each row/column is used at most once, sorted by row.
+
+    Raises
+    ------
+    ValueError
+        If ``cost`` is not 2-D or holds a NaN or infinite entry.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
+    if not np.isfinite(cost).all():
+        # A NaN or infinite cost poisons the potentials: no reduced cost is
+        # then a strict minimum and the augmenting path never ends.
+        raise ValueError("cost must be finite (no NaN or infinity)")
     num_rows, num_cols = cost.shape
     transposed = False
     if num_rows > num_cols:
@@ -52,24 +66,18 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         while True:
             used[current_col] = True
             current_row = match_col[current_col]
-            delta = np.inf
-            next_col = 0
-            for col in range(1, num_cols + 1):
-                if used[col]:
-                    continue
-                reduced = cost[current_row - 1, col - 1] - u[current_row] - v[col]
-                if reduced < min_value[col]:
-                    min_value[col] = reduced
-                    way[col] = current_col
-                if min_value[col] < delta:
-                    delta = min_value[col]
-                    next_col = col
-            for col in range(num_cols + 1):
-                if used[col]:
-                    u[match_col[col]] += delta
-                    v[col] -= delta
-                else:
-                    min_value[col] -= delta
+            free = np.flatnonzero(~used)
+            reduced = cost[current_row - 1, free - 1] - u[current_row] - v[free]
+            better = reduced < min_value[free]
+            min_value[free[better]] = reduced[better]
+            way[free[better]] = current_col
+            next_col = free[min_value[free].argmin()]
+            delta = min_value[next_col]
+            # Used columns hold distinct rows (column 0 the row being added),
+            # so the fancy-indexed += raises each row's potential once.
+            u[match_col[used]] += delta
+            v[used] -= delta
+            min_value[free] -= delta
             current_col = next_col
             if match_col[current_col] == 0:
                 break
@@ -79,14 +87,8 @@ def hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             match_col[current_col] = match_col[previous_col]
             current_col = previous_col
 
-    rows = []
-    cols = []
-    for col in range(1, num_cols + 1):
-        if match_col[col] != 0:
-            rows.append(match_col[col] - 1)
-            cols.append(col - 1)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
+    cols = np.flatnonzero(match_col[1:])
+    rows = match_col[1:][cols] - 1
     order = np.argsort(rows)
     rows, cols = rows[order], cols[order]
     if transposed:

@@ -57,6 +57,7 @@ from .kmeans import (
     KMeansResult,
     MiniBatchKMeans,
     _assign_labels,
+    _row_norms,
     _sculley_update,
 )
 
@@ -381,12 +382,13 @@ class ClusteringEngine:
             counts = (np.zeros(num_clusters, dtype=np.float64) if counts is None
                       else np.asarray(counts, dtype=np.float64).copy())
             counts *= ONLINE_COUNT_DECAY
+        data_sq = _row_norms(data)
         chunk = int(self.config.reassign_chunk_size)
         for start in range(0, num_samples, chunk):
-            block = data[start: start + chunk]
-            assignments, _ = _assign_labels(block, centers)
-            _sculley_update(centers, counts, block, assignments, num_clusters)
-        return self._reassign(data, centers), counts
+            rows = slice(start, start + chunk)
+            assignments, _ = _assign_labels(data[rows], centers, data_sq=data_sq[rows])
+            _sculley_update(centers, counts, data[rows], assignments, num_clusters)
+        return self._reassign(data, centers, data_sq), counts
 
     # ------------------------------------------------------------------
     # Cluster birth (streaming open-world)
@@ -437,10 +439,11 @@ class ClusteringEngine:
         self.birth_count += 1
         return self._reassign(data, centers), counts, (int(num_clusters),)
 
-    def _reassign(self, data: np.ndarray, centers: np.ndarray) -> KMeansResult:
+    def _reassign(self, data: np.ndarray, centers: np.ndarray,
+                  data_sq: Optional[np.ndarray] = None) -> KMeansResult:
         """Full chunked nearest-center assignment against fixed centroids."""
         labels, min_sq = _assign_labels(data, centers,
-                                        int(self.config.reassign_chunk_size))
+                                        int(self.config.reassign_chunk_size), data_sq)
         return KMeansResult(labels=labels,
                             centers=np.array(centers, dtype=np.float64, copy=True),
                             inertia=float(min_sq.sum()), n_iter=0)

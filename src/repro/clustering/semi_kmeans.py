@@ -17,6 +17,7 @@ from .kmeans import (
     _assign_labels,
     _cluster_sums,
     _pairwise_sq_distances,
+    _row_norms,
     kmeans_plus_plus_init,
 )
 
@@ -89,8 +90,9 @@ class SemiSupervisedKMeans:
         class_to_cluster = {cls: idx for idx, cls in enumerate(seen_classes)}
         pinned = np.array([class_to_cluster[cls] for cls in labeled_classes], dtype=np.int64)
 
+        data_sq = _row_norms(data)
         rng = np.random.default_rng(self.seed)
-        centers = kmeans_plus_plus_init(data, self.num_clusters, rng)
+        centers = kmeans_plus_plus_init(data, self.num_clusters, rng, data_sq)
         # Initialize the seen-class clusters at the labeled class means.
         for cls, cluster in class_to_cluster.items():
             members = data[labeled_indices[labeled_classes == cls]]
@@ -100,7 +102,7 @@ class SemiSupervisedKMeans:
         labels = np.zeros(data.shape[0], dtype=np.int64)
         _iteration = 0
         for _iteration in range(1, self.max_iter + 1):
-            labels, min_sq = _assign_labels(data, centers, self.chunk_size)
+            labels, min_sq = _assign_labels(data, centers, self.chunk_size, data_sq)
             labels[labeled_indices] = pinned
             sums, counts = _cluster_sums(data, labels, self.num_clusters)
             new_centers = centers.copy()
@@ -119,13 +121,13 @@ class SemiSupervisedKMeans:
             centers = new_centers
             if shift <= self.tol:
                 break
-        labels, assigned_sq = _assign_labels(data, centers, self.chunk_size)
+        labels, assigned_sq = _assign_labels(data, centers, self.chunk_size, data_sq)
         labels[labeled_indices] = pinned
         if labeled_indices.size:
             # Pinned samples pay the distance to their class cluster, not
             # to the nearest center.
             assigned_sq[labeled_indices] = _pairwise_sq_distances(
-                data[labeled_indices], centers
+                data[labeled_indices], centers, data_sq[labeled_indices]
             )[np.arange(labeled_indices.shape[0]), pinned]
         inertia = float(assigned_sq.sum())
         return KMeansResult(labels=labels, centers=centers, inertia=inertia, n_iter=_iteration)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..assignment.alignment import hungarian_accuracy_mapping
+from ..assignment.alignment import remap_predictions
 
 
 @dataclass
@@ -57,9 +57,7 @@ def open_world_accuracy(
     if predictions.size == 0:
         return OpenWorldAccuracy(float("nan"), float("nan"), float("nan"))
 
-    mapping = hungarian_accuracy_mapping(predictions, targets)
-    remapped = np.array([mapping.get(int(p), -1) for p in predictions], dtype=np.int64)
-    correct = remapped == targets
+    correct = remap_predictions(predictions, targets) == targets
 
     seen_mask = np.isin(targets, seen_classes)
     novel_mask = ~seen_mask

@@ -648,8 +648,9 @@ def edge_aggregate(values: Tensor, weights: Tensor, edges: EdgeGroups) -> Tensor
                 values_head = np.ascontiguousarray(values.data[:, head])
                 for start in range(0, len(edges), _EDGE_BLOCK):
                     block = slice(start, start + _EDGE_BLOCK)
-                    grad_weights[block, head] = (grad_head[edges.dst[block]]
-                                                 * values_head[edges.src[block]]).sum(axis=1)
+                    grad_weights[block, head] = (
+                        grad_head.take(edges.dst[block], axis=0)
+                        * values_head.take(edges.src[block], axis=0)).sum(axis=1)
         if grad_values is not None:
             values._accumulate(grad_values)
         if grad_weights is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,85 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from repro.assignment.hungarian import hungarian, max_profit_assignment
+
+
+def reference_hungarian(cost):
+    """The scalar-loop solver: one Python iteration per free column."""
+    cost = np.asarray(cost, dtype=np.float64)
+    num_rows, num_cols = cost.shape
+    transposed = False
+    if num_rows > num_cols:
+        cost = cost.T
+        num_rows, num_cols = cost.shape
+        transposed = True
+    u = np.zeros(num_rows + 1)
+    v = np.zeros(num_cols + 1)
+    match_col = np.zeros(num_cols + 1, dtype=np.int64)
+    way = np.zeros(num_cols + 1, dtype=np.int64)
+    for row in range(1, num_rows + 1):
+        match_col[0] = row
+        current_col = 0
+        min_value = np.full(num_cols + 1, np.inf)
+        used = np.zeros(num_cols + 1, dtype=bool)
+        while True:
+            used[current_col] = True
+            current_row = match_col[current_col]
+            delta = np.inf
+            next_col = 0
+            for col in range(1, num_cols + 1):
+                if used[col]:
+                    continue
+                reduced = cost[current_row - 1, col - 1] - u[current_row] - v[col]
+                if reduced < min_value[col]:
+                    min_value[col] = reduced
+                    way[col] = current_col
+                if min_value[col] < delta:
+                    delta = min_value[col]
+                    next_col = col
+            for col in range(num_cols + 1):
+                if used[col]:
+                    u[match_col[col]] += delta
+                    v[col] -= delta
+                else:
+                    min_value[col] -= delta
+            current_col = next_col
+            if match_col[current_col] == 0:
+                break
+        while current_col != 0:
+            previous_col = way[current_col]
+            match_col[current_col] = match_col[previous_col]
+            current_col = previous_col
+    rows = []
+    cols = []
+    for col in range(1, num_cols + 1):
+        if match_col[col] != 0:
+            rows.append(match_col[col] - 1)
+            cols.append(col - 1)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    order = np.argsort(rows)
+    rows, cols = rows[order], cols[order]
+    if transposed:
+        return cols, rows
+    return rows, cols
+
+
+def error_within(call, timeout=10.0):
+    """The exception ``call`` raises, failing the test if it does not return
+    within ``timeout`` seconds (it keeps running in a daemon thread)."""
+    outcome = {}
+
+    def target():
+        try:
+            call()
+        except Exception as error:
+            outcome["error"] = error
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"no return within {timeout} s"
+    return outcome.get("error")
 
 
 class TestKnownCases:
@@ -46,6 +127,26 @@ class TestKnownCases:
         with pytest.raises(ValueError):
             hungarian(np.zeros(3))
 
+    @pytest.mark.parametrize("cost", [
+        [[np.nan]],
+        [[1.0, np.inf], [np.inf, np.inf]],
+        [[0.0, -np.inf], [2.0, 1.0]],
+        [[0.0, 1.0, 2.0], [3.0, np.nan, 5.0]],
+    ])
+    def test_non_finite_cost_raises(self, cost):
+        error = error_within(lambda: hungarian(np.array(cost)))
+        assert isinstance(error, ValueError) and "finite" in str(error)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_profit_raises(self):
+        error = error_within(lambda: max_profit_assignment(np.array([[1.0, np.inf], [0.0, 2.0]])))
+        assert isinstance(error, ValueError) and "finite" in str(error)
+
+    def test_empty_cost(self):
+        for shape in [(0, 3), (3, 0)]:
+            rows, cols = hungarian(np.zeros(shape))
+            assert rows.shape == cols.shape == (0,)
+
     def test_assignment_is_a_matching(self):
         rng = np.random.default_rng(0)
         cost = rng.random((6, 6))
@@ -80,6 +181,40 @@ class TestAgainstScipy:
         rows, cols = hungarian(cost)
         ref_rows, ref_cols = linear_sum_assignment(cost)
         assert cost[rows, cols].sum() == pytest.approx(cost[ref_rows, ref_cols].sum(), abs=1e-8)
+
+
+class TestAgainstScalarLoop:
+    """The exact matching, not just its cost: ties decide alignments."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 6), (25, 25), (60, 60),
+                                       (4, 11), (23, 60), (11, 4), (60, 23)])
+    @pytest.mark.parametrize("levels", [2, 5])
+    def test_same_matching_on_tie_heavy_integer_costs(self, shape, levels):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + levels)
+        cost = rng.integers(0, levels, size=shape).astype(float)
+        rows, cols = hungarian(cost)
+        ref_rows, ref_cols = reference_hungarian(cost)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(cols, ref_cols)
+        assert rows.dtype == cols.dtype == np.int64
+
+    @pytest.mark.parametrize("shape", [(7, 7), (5, 9), (9, 5)])
+    def test_same_matching_on_constant_costs(self, shape):
+        cost = np.full(shape, 3.0)
+        rows, cols = hungarian(cost)
+        ref_rows, ref_cols = reference_hungarian(cost)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(cols, ref_cols)
+
+    def test_same_matching_on_contingency_profits(self):
+        # Alignment's input: co-occurrence counts of 47 clusters x 24 classes.
+        rng = np.random.default_rng(47)
+        counts = np.zeros((47, 24))
+        np.add.at(counts, (rng.integers(0, 47, 400), rng.integers(0, 24, 400)), 1.0)
+        rows, cols = max_profit_assignment(counts)
+        ref_rows, ref_cols = reference_hungarian(counts.max() - counts)
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(cols, ref_cols)
 
 
 class TestMaxProfit:

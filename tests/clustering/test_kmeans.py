@@ -133,6 +133,15 @@ class TestMiniBatchKMeans:
         with pytest.raises(ValueError):
             MiniBatchKMeans(5).fit(np.zeros((3, 2)))
 
+    def test_invalid_inputs_raise_like_kmeans(self):
+        data, _ = blobs()
+        for num_clusters in (0, -2):
+            with pytest.raises(ValueError, match="num_clusters must be positive"):
+                MiniBatchKMeans(num_clusters).fit(data)
+        for bad in (np.zeros(5), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match="data must be a 2-D array"):
+                MiniBatchKMeans(2).fit(bad)
+
     def test_fit_predict_shape(self):
         data, _ = blobs()
         labels = MiniBatchKMeans(3, seed=1).fit_predict(data)
