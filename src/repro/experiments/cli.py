@@ -542,6 +542,19 @@ def _handle_predict(args: argparse.Namespace) -> dict:
 
 
 def _handle_serve(args: argparse.Namespace) -> dict:
+    from ..serve import set_blas_threads
+
+    # Every snapshot build, the start-up one included, runs on one BLAS
+    # thread; repro.serve.blas says why.
+    previous = set_blas_threads(1)
+    try:
+        return _run_server(args)
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
+
+
+def _run_server(args: argparse.Namespace) -> dict:
     from ..serve import ModelServer, PredictionService, ServeConfig
 
     classifier = _load_for_inference(args, allowed=("inference", "clustering"))

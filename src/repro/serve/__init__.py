@@ -30,6 +30,7 @@ or programmatically::
     server.serve_forever(install_signals=True)
 """
 
+from .blas import blas_threads, set_blas_threads
 from .client import ServeClient, ServeClientError
 from .coalescer import RequestCoalescer
 from .metrics import LatencyRecorder
@@ -45,4 +46,6 @@ __all__ = [
     "ServeClientError",
     "ServeConfig",
     "ServingSnapshot",
+    "blas_threads",
+    "set_blas_threads",
 ]

@@ -5,11 +5,15 @@
 writer), a :class:`~repro.serve.coalescer.RequestCoalescer` micro-batches
 concurrent queries, a :class:`~http.server.ThreadingHTTPServer` handles the
 sockets (many readers), and a :class:`~repro.serve.metrics.LatencyRecorder`
-tracks per-request latency.  Endpoints:
+tracks per-request latency.  Reads never wait for a write: while
+``POST /delta`` holds the writer lock, ``/predict`` and ``/health`` answer
+from the last published snapshot, so a node the delta adds gets 400 until
+the new snapshot is swapped in.  Endpoints:
 
 * ``GET  /health``  — liveness + model identity
 * ``GET  /stats``   — latency percentiles, qps, cache hit rate, batch sizes,
-  plus the ``repro.obs`` registry/event summary
+  the BLAS thread count (``blas_threads``), plus the ``repro.obs``
+  registry/event summary
 * ``GET  /metrics`` — the process-wide metric registry in Prometheus text
   exposition format (request latency histograms, cache hit/miss counters,
   coalescer queue depth, in-flight gauge, ...)
@@ -43,6 +47,7 @@ from typing import Optional
 from ..core.config import SerializableConfig
 from ..obs import EVENTS, REGISTRY, TRACER, span
 from ..obs.clock import monotonic as _monotonic
+from .blas import blas_threads
 from .coalescer import RequestCoalescer
 from .metrics import LatencyRecorder
 from .service import PredictionService
@@ -405,6 +410,7 @@ class ModelServer:
             "latency": self.latency.snapshot(),
             "coalescer": self.coalescer.stats(),
             "service": self.service.stats(),
+            "blas_threads": blas_threads(),
             "obs": {
                 "metrics": REGISTRY.summary(prefix="repro_serve"),
                 "events": EVENTS.counts(),

@@ -3,16 +3,16 @@
 The split that makes a long-lived server safe on this codebase:
 
 * **Single writer** — all model compute (encoder passes, clustering,
-  head logits) happens inside :meth:`PredictionService.snapshot` under one
-  lock.  The autodiff runtime keeps process-global state (``no_grad`` is a
-  module-level flag), so concurrent encoder passes are not safe; the
-  service serializes them and everything downstream of the paper's
-  two-stage procedure is computed once per parameter/graph version.
+  head logits) happens under one lock, in a snapshot build.  The lock
+  serializes the writers of the live graph, the embedding cache and the
+  published snapshot (:meth:`PredictionService.apply_delta`), and makes
+  concurrent cold starts build once.
 * **Many readers** — the result of that pass is published as an immutable
   :class:`ServingSnapshot` (read-only arrays, atomically swapped
   reference).  Answering a query is pure numpy slicing against the
   snapshot; any number of request threads can do it concurrently without
-  touching the model.
+  touching the model, and none waits for a writer: while one holds the
+  lock, readers keep the last published snapshot.
 
 Because every query against one snapshot reads from the same full-graph
 :class:`~repro.core.inference.InferenceResult`, a coalesced micro-batch is
@@ -150,18 +150,29 @@ class PredictionService:
                             self._trainer.dataset.graph) is snapshot.embeddings
 
     def snapshot(self) -> ServingSnapshot:
-        """The up-to-date snapshot, rebuilding under the writer lock if stale."""
+        """The published snapshot, rebuilt first if stale and no writer runs.
+
+        A reader never waits for a writer: while another thread holds the
+        lock (an :meth:`apply_delta`, or a build), a stale snapshot is
+        returned as it is, and the writer publishes the next one.  Only
+        when nothing has been published yet does the reader wait, so
+        concurrent cold starts build once.
+        """
         snapshot = self._snapshot
         if self._is_current(snapshot):
             return snapshot
-        with self._lock:
+        if not self._lock.acquire(blocking=snapshot is None):
+            return snapshot
+        try:
             snapshot = self._snapshot
             if self._is_current(snapshot):
-                # Another writer rebuilt while this thread waited.
+                # Another thread published it since the check above.
                 return snapshot
             snapshot = self._build_snapshot()
             self._snapshot = snapshot
             return snapshot
+        finally:
+            self._lock.release()
 
     def _build_snapshot(self) -> ServingSnapshot:
         with _SNAPSHOT_BUILD_SECONDS.time(), \
@@ -220,8 +231,10 @@ class PredictionService:
         field instead of cold-rebuilt
         (:meth:`~repro.inference.engine.InferenceEngine.refresh_after_delta`),
         and a fresh snapshot is swapped in before the lock is released.
-        Readers are never exposed to a half-applied delta — they hold the
-        previous immutable snapshot until the swap.
+        Readers are never exposed to a half-applied delta, and never wait
+        for it: :meth:`snapshot` returns the previous immutable snapshot
+        until the swap, so a node the delta adds is out of range
+        (``IndexError``) until then.
         """
         # Imported lazily: repro.streaming builds on repro.inference, which
         # this package already imports at module level.

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import repro
 from repro.experiments.cli import build_parser
-from repro.serve import ServeClient
+from repro.serve import ServeClient, blas_threads
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
@@ -62,7 +62,11 @@ class TestSubprocessRoundTrip:
             assert single["node"] == 0
             batch = client.predict_batch([0, 1, 2])
             assert batch[0] == single
-            assert client.stats()["latency"]["requests"] >= 2
+            stats = client.stats()
+            assert stats["latency"]["requests"] >= 2
+            if blas_threads() is not None:
+                # `repro serve` pins numpy's OpenBLAS to one thread.
+                assert stats["blas_threads"] == 1
             client.close()
             process.send_signal(signal.SIGTERM)
             output, _ = process.communicate(timeout=30)

@@ -9,10 +9,12 @@ against single-threaded references.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 
+from repro.graphs import GraphDelta
 from repro.serve import PredictionService
 
 
@@ -93,3 +95,46 @@ class TestThreadedServiceAccess:
         batch = service.query(nodes)
         singles = [service.query([n])[0] for n in nodes]
         assert batch == singles
+
+    def test_reads_during_deltas_never_go_back_or_build(self, served_classifier):
+        """Readers racing a writer see each published snapshot whole, in order."""
+        service = PredictionService(served_classifier)
+        service.warm()
+        graph = served_classifier.trainer_.dataset.graph
+        rng = np.random.default_rng(0)
+        done = threading.Event()
+        seen = {}
+
+        def worker(i):
+            if i == 0:
+                try:
+                    for _ in range(5):
+                        n = graph.num_nodes
+                        service.apply_delta(GraphDelta.undirected(
+                            rng.normal(size=(1, graph.features.shape[1])),
+                            np.array([[n], [int(rng.integers(n))]])))
+                finally:
+                    done.set()
+                return
+            observed = seen.setdefault(i, [])
+            while not done.is_set():
+                snapshot = service.snapshot()
+                observed.append((snapshot.graph_version, snapshot.num_nodes,
+                                 snapshot.query([0])[0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(worker, 6)
+        finally:
+            sys.setswitchinterval(interval)
+        # Only the warm-up and the writer built: no reader built a snapshot.
+        assert service.snapshot_builds == 1 + 5
+        by_version = {}
+        for observed in seen.values():
+            versions = [version for version, _, _ in observed]
+            assert versions == sorted(versions)
+            for version, num_nodes, payload in observed:
+                assert by_version.setdefault(version, (num_nodes, payload)) == (
+                    num_nodes, payload)
+        assert service.snapshot().num_nodes == graph.num_nodes

@@ -7,6 +7,8 @@ cache over the affected receptive field, and atomically swaps the snapshot.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,42 @@ def arrival_delta(graph, num_new=1, seed=0):
         add_edges=np.vstack([np.arange(n, n + num_new),
                              rng.integers(n, size=num_new)]),
     )
+
+
+def outcome_within(call, timeout=2.0):
+    """``{"value": ...}`` or ``{"error": ...}`` of ``call()``, failing the test
+    if it does not return within ``timeout`` seconds (it keeps running in a
+    daemon thread)."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except Exception as error:
+            outcome["error"] = error
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout)
+    assert not worker.is_alive(), f"no return within {timeout} s"
+    return outcome
+
+
+class HeldBuild:
+    """Holds every snapshot build, inside the writer lock, until released."""
+
+    def __init__(self, monkeypatch):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        build = PredictionService._build_snapshot
+
+        def held(service):
+            self.entered.set()
+            # Bounded, so a failing test cannot leave the writer parked.
+            self.release.wait(30)
+            return build(service)
+
+        monkeypatch.setattr(PredictionService, "_build_snapshot", held)
 
 
 class TestServiceApplyDelta:
@@ -87,6 +125,30 @@ class TestServiceApplyDelta:
         with pytest.raises(IndexError):
             old.query([old.num_nodes])
 
+    def test_query_during_delta_gets_pre_delta_answer(self, served_classifier,
+                                                      monkeypatch):
+        service = PredictionService(served_classifier)
+        service.warm()
+        before = service.query([0])
+        builds = service.snapshot_builds
+        graph = served_classifier.trainer_.dataset.graph
+        new_node = graph.num_nodes
+        held = HeldBuild(monkeypatch)
+        writer = threading.Thread(target=service.apply_delta,
+                                  args=(arrival_delta(graph),), daemon=True)
+        writer.start()
+        try:
+            assert held.entered.wait(10)
+            assert outcome_within(lambda: service.query([0])) == {"value": before}
+            added = outcome_within(lambda: service.query([new_node]))
+            assert isinstance(added.get("error"), IndexError)
+        finally:
+            held.release.set()
+            writer.join(30)
+        assert not writer.is_alive()
+        assert service.query_one(new_node)["node"] == new_node
+        assert service.snapshot_builds == builds + 1
+
 
 @pytest.fixture()
 def running_server(served_classifier):
@@ -119,6 +181,39 @@ class TestHTTPDelta:
         assert payload["node"] == new_node
         health = client.health()
         assert health["num_nodes"] == new_node + 1
+
+    def test_reads_during_delta_answer_from_the_old_snapshot(self, running_server,
+                                                             monkeypatch):
+        classifier, server, client = running_server
+        graph = classifier.trainer_.dataset.graph
+        new_node = graph.num_nodes
+        before = client.predict(0)
+        builds = server.service.snapshot_builds
+        held = HeldBuild(monkeypatch)
+        features = [0.5] * graph.features.shape[1]
+        summary = {}
+
+        def post_delta():
+            with ServeClient(port=server.port) as writer_client:
+                summary.update(writer_client.apply_delta(
+                    features=[features], edges=[[new_node], [0]]))
+
+        writer = threading.Thread(target=post_delta, daemon=True)
+        writer.start()
+        try:
+            assert held.entered.wait(10)
+            assert outcome_within(lambda: client.predict(0)) == {"value": before}
+            health = outcome_within(client.health)["value"]
+            assert health["num_nodes"] == new_node
+            added = outcome_within(lambda: client.predict(new_node))
+            assert added["error"].status == 400
+        finally:
+            held.release.set()
+            writer.join(30)
+        assert not writer.is_alive()
+        assert summary["new_num_nodes"] == new_node + 1
+        assert client.predict(new_node)["node"] == new_node
+        assert server.service.snapshot_builds == builds + 1
 
     def test_stats_expose_streaming_counters(self, running_server):
         classifier, _, client = running_server
