@@ -14,11 +14,15 @@ and hands layer 2 its projection instead of the hidden features; GCN
 computes propagation-first rows ``(P[a:b] @ h) @ W``.  Embeddings match
 ``embed`` to 1e-8.
 
-Measured here for a GCN (sparse backend, hidden 64 -> out 32) and a GAT
+Measured here for a GCN (hidden 64 -> out 32) and a GAT
 (8 heads) at 10k and 50k nodes: warm-pass wall-clock (best-of-``REPEATS``)
 and the tracemalloc high-water mark of one warm pass (propagation/attention
 caches pre-built by a warm-up pass, so the peak is the pass itself, not
 graph preprocessing).
+
+The file also gates the sparse training pass (``large``, so outside the CI
+smoke): one GCN forward+backward at 50k nodes, propagation build included,
+peaks below 5% of a dense 50k x 50k float64 matrix.
 
 Results are appended to ``benchmarks/results/perf_inference.txt``.
 The acceptance headline: layer-wise peak memory measurably below the full
@@ -157,3 +161,29 @@ def test_layerwise_memory_headline_at_50k():
     # graph's attention arrays and head outputs at once; layer-wise must cut
     # the high-water mark at least in half (measured 2.18x).
     assert layerwise["peak_bytes"] <= 0.5 * full["peak_bytes"]
+
+
+def test_large_50k_sparse_training_pass_is_subquadratic():
+    """One GCN forward+backward at 50k nodes, cold, stays far below O(N^2).
+
+    The tracemalloc peak covers building the propagation matrix (a fresh
+    graph object, so no cache is warm) and the backward pass; it must be a
+    small fraction of the dense 50k x 50k float64 matrix alone (~20 GB).
+    """
+    num_nodes = 50_000
+    cached = synthetic_graph(num_nodes)
+    graph = Graph(features=cached.features, edge_index=cached.edge_index)
+    encoder = GCNEncoder(NUM_FEATURES, hidden_dim=32, out_dim=16, dropout=0.0,
+                         rng=np.random.default_rng(0))
+    encoder.train()
+    tracemalloc.start()
+    out = encoder(graph)
+    (out * out).sum().backward()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    dense_matrix_bytes = num_nodes * num_nodes * 8
+    _report_lines.append(
+        f"gcn  n={num_nodes:>6}  cold forward+backward peak={peak / 1e6:8.1f} MB "
+        f"(dense matrix {dense_matrix_bytes / 1e9:.0f} GB)")
+    save_report("perf_inference", "\n".join(_report_lines))
+    assert peak < 0.05 * dense_matrix_bytes

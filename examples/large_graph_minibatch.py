@@ -4,8 +4,15 @@ The paper's Table IV evaluates OpenIMA on ogbn-Arxiv and ogbn-Products with
 three refinements for scale: mini-batch K-Means (Sculley, 2010) replaces
 full-batch K-Means, prediction uses the classification head instead of a
 final clustering pass, and an ORCA-style pairwise loss counters over-fitting
-of the seen classes.  All three are switched on with a single flag
-(``OpenIMAConfig.large_scale=True``).
+of the seen classes.
+
+``OpenIMAConfig.large_scale=True`` switches on the head prediction and the
+pairwise loss.  Its mini-batch K-Means only computes the cluster labels
+that come with each prediction; pseudo-label refreshes follow
+``TrainerConfig.clustering``, whose default ``exact`` strategy is
+full-batch K-Means.  This example sets
+``ClusteringConfig(strategy="minibatch")``, so refreshes and two-stage
+predictions fit mini-batch K-Means on a sample of the embeddings.
 
 This example trains the standard and the large-scale variants of OpenIMA on
 the ogbn-products profile (scaled down) and compares them against ORCA.
@@ -17,7 +24,7 @@ from __future__ import annotations
 
 import time
 
-from repro.core import OpenIMAConfig, OpenIMATrainer, SamplingConfig
+from repro.core import ClusteringConfig, OpenIMAConfig, OpenIMATrainer, SamplingConfig
 from repro.core.config import fast_config
 from repro.core.registry import build_method
 from repro.datasets import load_open_world_dataset
@@ -42,8 +49,8 @@ def main() -> None:
     # graph (same losses as mode="full" when dropout is off, far cheaper per
     # epoch; use mode="sampled" with fanouts for even larger graphs).
     trainer_config = fast_config(max_epochs=8, seed=0, encoder_kind="gcn", batch_size=512,
-                                 sampling=SamplingConfig(mode="khop"))
-    trainer_config = trainer_config.with_updates(mini_batch_kmeans=True, kmeans_batch_size=512)
+                                 sampling=SamplingConfig(mode="khop"),
+                                 clustering=ClusteringConfig(strategy="minibatch"))
 
     # Standard OpenIMA (two-stage inference with mini-batch K-Means).
     start = time.time()

@@ -16,12 +16,16 @@ caller-provided dataset), reconstructs the trainer through the unified
 method registry, and restores weights, optimizer state, RNG state, and
 method extras — so ``fit`` after ``load`` continues *identically* to an
 uninterrupted run, and ``predict`` is bitwise-identical to the saved model.
+A malformed checkpoint (unreadable or truncated file, missing or unknown
+manifest key, non-finite or misshapen array) raises :class:`CheckpointError`
+naming the file and the cause.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import zipfile
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -33,11 +37,20 @@ from ..datasets.splits import OpenWorldDataset
 from ..datasets.synthetic import load_open_world_dataset
 
 #: Bump when the on-disk layout changes incompatibly; loading accepts only
-#: this version.  Version 2 dropped the ``trainer.parallel`` config section.
-CHECKPOINT_FORMAT_VERSION = 2
+#: this version.  Version 2 dropped the ``trainer.parallel`` config section;
+#: version 3 dropped ``trainer.encoder.backend``,
+#: ``trainer.mini_batch_kmeans`` and ``trainer.kmeans_batch_size``.
+CHECKPOINT_FORMAT_VERSION = 3
 
 MANIFEST_FILE = "manifest.json"
 WEIGHTS_FILE = "weights.npz"
+
+#: Every top-level manifest key; :func:`read_manifest` rejects any other set.
+MANIFEST_KEYS = frozenset((
+    "format_version", "method", "display_name", "config_class", "config",
+    "method_kwargs", "num_novel_classes", "label_space", "dataset",
+    "epochs_trained", "optimizer", "rng_state", "clustering_state", "history",
+))
 
 
 class CheckpointError(RuntimeError):
@@ -133,7 +146,13 @@ def read_manifest(path) -> dict:
     manifest_path = Path(path) / MANIFEST_FILE
     if not manifest_path.exists():
         raise CheckpointError(f"no checkpoint manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"{manifest_path} holds a JSON {type(manifest).__name__}, not an object")
     version = manifest.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
@@ -141,7 +160,28 @@ def read_manifest(path) -> dict:
             f"reads only version {CHECKPOINT_FORMAT_VERSION}; retrain the model "
             f"with this build and save it again"
         )
+    missing = sorted(MANIFEST_KEYS - set(manifest))
+    unknown = sorted(set(manifest) - MANIFEST_KEYS)
+    if missing or unknown:
+        raise CheckpointError(
+            f"{manifest_path} has missing keys {missing or 'none'} and unknown "
+            f"keys {unknown or 'none'}"
+        )
     return manifest
+
+
+def _read_weights(path: Path) -> dict:
+    """Every array of ``weights.npz``, each checked to be finite."""
+    weights_path = path / WEIGHTS_FILE
+    try:
+        with np.load(weights_path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{weights_path} is unreadable: {exc}") from exc
+    for name, value in arrays.items():
+        if np.issubdtype(value.dtype, np.inexact) and not np.isfinite(value).all():
+            raise CheckpointError(f"{weights_path}: array {name!r} is not finite")
+    return arrays
 
 
 def _rebuild_dataset(manifest: dict, path) -> OpenWorldDataset:
@@ -184,7 +224,7 @@ def load_trainer_checkpoint(
         dataset,
         config=config,
         num_novel_classes=num_novel,
-        **manifest.get("method_kwargs", {}),
+        **manifest["method_kwargs"],
     )
 
     saved_seen = [int(c) for c in manifest["label_space"]["seen_classes"]]
@@ -198,18 +238,22 @@ def load_trainer_checkpoint(
             "the dataset does not match the one the checkpoint was trained on"
         )
 
-    with np.load(path / WEIGHTS_FILE) as bundle:
-        arrays = {name: bundle[name] for name in bundle.files}
+    arrays = _read_weights(path)
 
     def take(prefix: str) -> dict:
         plen = len(prefix)
         return {name[plen:]: value for name, value in arrays.items()
                 if name.startswith(prefix)}
 
-    trainer.encoder.load_state_dict(take("encoder."), strict=True)
-    trainer.head.load_state_dict(take("head."), strict=True)
+    for part, module in (("encoder", trainer.encoder), ("head", trainer.head)):
+        try:
+            module.load_state_dict(take(f"{part}."), strict=True)
+        except (KeyError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path / WEIGHTS_FILE}: the {part} arrays do not fit the "
+                f"{method} model: {exc}") from exc
 
-    optimizer_state: dict = dict(manifest.get("optimizer", {}))
+    optimizer_state: dict = dict(manifest["optimizer"])
     buffers: dict = {}
     for name, value in take("optim.").items():
         buffer_name, _, index = name.rpartition(".")
@@ -225,7 +269,7 @@ def load_trainer_checkpoint(
     trainer.load_clustering_state(manifest["clustering_state"], take("clustering."))
     trainer.set_rng_state(manifest["rng_state"])
     trainer.epochs_trained = int(manifest["epochs_trained"])
-    history = manifest.get("history", {})
+    history = manifest["history"]
     trainer.history = TrainingHistory(
         losses=[float("nan") if v is None else float(v)
                 for v in history.get("losses", [])],

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult, head_predict, two_stage_predict
+from ..core.inference import InferenceResult
 from ..core.losses import (
     confidence_pseudo_label_loss,
     cross_entropy_loss,
@@ -85,27 +85,5 @@ class OpenLDNTrainer(GraphTrainer):
     def predict(self, num_novel_classes: Optional[int] = None,
                 seed: Optional[int] = None,
                 embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        if embeddings is None:
-            embeddings = self.node_embeddings()
-        predictions = head_predict(
-            embeddings,
-            self.head.linear.weight.data,
-            self.label_space,
-            head_bias=None if self.head.linear.bias is None else self.head.linear.bias.data,
-        )
-        two_stage = two_stage_predict(
-            embeddings,
-            self.dataset,
-            num_novel_classes=(
-                num_novel_classes if num_novel_classes is not None
-                else self.label_space.num_novel
-            ),
-            seed=self.config.seed if seed is None else seed,
-            engine=self.clustering_engine,
-        )
-        return InferenceResult(
-            predictions=predictions,
-            cluster_result=two_stage.cluster_result,
-            alignment=two_stage.alignment,
-            label_space=self.label_space,
-        )
+        """End-to-end prediction with the classification head."""
+        return self.predict_with_head(num_novel_classes, seed, embeddings)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult, two_stage_predict
+from ..core.inference import InferenceResult
 from ..core.losses import cross_entropy_loss
 from ..core.registry import register_method
 from ..core.trainer import GraphTrainer
@@ -106,24 +106,11 @@ class OpenWGLTrainer(GraphTrainer):
         internal = logits[:, : self.label_space.num_seen].argmax(axis=1)
         ood_nodes = np.where(is_ood)[0]
         if ood_nodes.shape[0] >= num_novel and num_novel > 0:
-            # n_init=1 / mini_batch=False pin the historical direct KMeans
-            # call for the exact strategy.
             clusters = self.clustering_engine.cluster(
-                embeddings[ood_nodes], num_novel, seed=seed,
-                n_init=1, mini_batch=False).labels
+                embeddings[ood_nodes], num_novel, seed=seed, n_init=1).labels
             internal[ood_nodes] = self.label_space.num_seen + clusters
         predictions = self.label_space.to_original(internal)
-
-        two_stage = two_stage_predict(
-            embeddings, self.dataset, num_novel_classes=num_novel, seed=seed,
-            engine=self.clustering_engine,
-        )
-        return InferenceResult(
-            predictions=predictions,
-            cluster_result=two_stage.cluster_result,
-            alignment=two_stage.alignment,
-            label_space=self.label_space,
-        )
+        return self.with_clusters(predictions, embeddings, num_novel, seed)
 
 
 def _softmax_np(logits: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult, head_predict, two_stage_predict
+from ..core.inference import InferenceResult
 from ..core.losses import (
     entropy_regularization,
     margin_cross_entropy_loss,
@@ -99,30 +99,7 @@ class ORCATrainer(GraphTrainer):
                 seed: Optional[int] = None,
                 embeddings: Optional[np.ndarray] = None) -> InferenceResult:
         """End-to-end prediction with the classification head."""
-        if embeddings is None:
-            embeddings = self.node_embeddings()
-        predictions = head_predict(
-            embeddings,
-            self.head.linear.weight.data,
-            self.label_space,
-            head_bias=None if self.head.linear.bias is None else self.head.linear.bias.data,
-        )
-        two_stage = two_stage_predict(
-            embeddings,
-            self.dataset,
-            num_novel_classes=(
-                num_novel_classes if num_novel_classes is not None
-                else self.label_space.num_novel
-            ),
-            seed=self.config.seed if seed is None else seed,
-            engine=self.clustering_engine,
-        )
-        return InferenceResult(
-            predictions=predictions,
-            cluster_result=two_stage.cluster_result,
-            alignment=two_stage.alignment,
-            label_space=self.label_space,
-        )
+        return self.predict_with_head(num_novel_classes, seed, embeddings)
 
 
 @register_method(

@@ -5,7 +5,6 @@ from .kmeans import (
     KMeans,
     KMeansResult,
     MiniBatchKMeans,
-    cluster_embeddings,
     kmeans_plus_plus_init,
 )
 from .metrics import (
@@ -25,7 +24,6 @@ __all__ = [
     "MiniBatchKMeans",
     "SemiSupervisedKMeans",
     "KMeansResult",
-    "cluster_embeddings",
     "kmeans_plus_plus_init",
     "normalized_mutual_information",
     "adjusted_rand_index",

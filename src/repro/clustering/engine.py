@@ -8,10 +8,10 @@ configured subsystem.  :class:`ClusteringEngine` puts the stage behind
 interface:
 
 ``exact``
-    The historical path (:class:`~repro.clustering.kmeans.KMeans` with
-    k-means++ restarts, or Sculley MiniBatch-KMeans when the trainer's
-    legacy ``mini_batch_kmeans`` flag is set).  With ``warm_start`` off this
-    is bit-identical to the pre-engine refresh at the same seed.
+    Full Lloyd :class:`~repro.clustering.kmeans.KMeans` with k-means++
+    restarts at the resolved seed.  :meth:`ClusteringEngine.cluster` can
+    swap in Sculley MiniBatch-KMeans per call (``mini_batch=True``), as
+    OpenIMA's large-scale prediction does.
 
 ``minibatch``
     Fits MiniBatch-KMeans on at most ``sample_size`` sampled embeddings,
@@ -87,6 +87,9 @@ _BIRTHS = REGISTRY.counter(
 #: update responsive while still favoring the carried centroids.
 ONLINE_COUNT_DECAY = 0.5
 
+#: Sculley mini-batch size of every MiniBatch-KMeans fit the engine runs.
+MINI_BATCH_SIZE = 1024
+
 
 @dataclass
 class ClusteringOutcome:
@@ -125,14 +128,10 @@ class ClusteringEngine:
         The strategy configuration; ``None`` uses the defaults (``exact``).
     seed:
         Trainer seed, used when ``config.seed`` is ``None``.
-    mini_batch / batch_size:
-        The trainer's legacy ``mini_batch_kmeans`` / ``kmeans_batch_size``
-        flags; the ``exact`` strategy honors them so large-scale profiles
-        keep their historical Sculley MiniBatch path bit-for-bit.
     """
 
     def __init__(self, config: Optional["ClusteringConfig"] = None, *,
-                 seed: int = 0, mini_batch: bool = False, batch_size: int = 1024):
+                 seed: int = 0):
         if config is None:
             # Imported lazily: repro.core.trainer imports this package, so a
             # module-level import of repro.core.config would be circular.
@@ -141,8 +140,6 @@ class ClusteringEngine:
             config = ClusteringConfig()
         self.config = config
         self.base_seed = int(seed if config.seed is None else config.seed)
-        self.legacy_mini_batch = bool(mini_batch)
-        self.legacy_batch_size = int(batch_size)
         #: Persistent RNG driving the stateful refresh path (minibatch
         #: sampling, online streaming); checkpointed via state_dict.
         self.rng = np.random.default_rng(self.base_seed)
@@ -261,16 +258,16 @@ class ClusteringEngine:
     # ------------------------------------------------------------------
     def cluster(self, embeddings: np.ndarray, num_clusters: int,
                 seed: Optional[int] = None, n_init: Optional[int] = None,
-                mini_batch: Optional[bool] = None,
+                mini_batch: bool = False,
                 initial_centers: Optional[np.ndarray] = None) -> KMeansResult:
         """One-shot clustering under the configured strategy.
 
         Deterministic in ``seed`` (default: the engine's resolved seed) and
         side-effect free: the warm-start state and persistent RNG are never
         touched, so prediction during training cannot perturb the refresh
-        sequence.  ``n_init`` and ``mini_batch`` override the ``exact``
-        strategy's restart count / legacy MiniBatch flag, preserving
-        bit-compatibility with the historical call sites.
+        sequence.  ``n_init`` overrides the ``exact`` strategy's restart
+        count, and ``mini_batch=True`` makes it fit Sculley MiniBatch-KMeans
+        instead; the other strategies ignore both.
         """
         data = np.asarray(embeddings, dtype=np.float64)
         num_clusters = int(num_clusters)
@@ -302,12 +299,10 @@ class ClusteringEngine:
     def _exact_fit(self, data: np.ndarray, num_clusters: int,
                    initial_centers: Optional[np.ndarray], seed: int,
                    n_init: Optional[int] = None,
-                   mini_batch: Optional[bool] = None) -> KMeansResult:
-        use_mini_batch = (self.legacy_mini_batch if mini_batch is None
-                          else bool(mini_batch))
-        if use_mini_batch:
+                   mini_batch: bool = False) -> KMeansResult:
+        if mini_batch:
             return MiniBatchKMeans(
-                num_clusters, batch_size=self.legacy_batch_size, seed=seed,
+                num_clusters, batch_size=MINI_BATCH_SIZE, seed=seed,
             ).fit(data, initial_centers=initial_centers)
         restarts = 3 if n_init is None else int(n_init)
         return KMeans(num_clusters, seed=seed, n_init=restarts).fit(
@@ -350,9 +345,9 @@ class ClusteringEngine:
         # Starting from Lloyd-warmed (or carried) centers, the Sculley pass
         # only needs ~two epochs over the sample — the default 100 batches
         # would dominate the whole refresh for moderate sample sizes.
-        iterations = max(10, -(-2 * sample.shape[0] // self.legacy_batch_size))
+        iterations = max(10, -(-2 * sample.shape[0] // MINI_BATCH_SIZE))
         fitted = MiniBatchKMeans(
-            num_clusters, batch_size=self.legacy_batch_size, seed=fit_seed,
+            num_clusters, batch_size=MINI_BATCH_SIZE, seed=fit_seed,
             max_iter=iterations,
         ).fit(sample, initial_centers=initial_centers)
         if sample is data:

@@ -286,10 +286,3 @@ class MiniBatchKMeans:
     def fit_predict(self, data: np.ndarray) -> np.ndarray:
         return self.fit(data).labels
 
-
-def cluster_embeddings(embeddings: np.ndarray, num_clusters: int, seed: int = 0,
-                       mini_batch: bool = False, batch_size: int = 1024) -> KMeansResult:
-    """Convenience wrapper choosing between K-Means and mini-batch K-Means."""
-    if mini_batch:
-        return MiniBatchKMeans(num_clusters, batch_size=batch_size, seed=seed).fit(embeddings)
-    return KMeans(num_clusters, seed=seed).fit(embeddings)

@@ -81,19 +81,13 @@ class SerializableConfig:
 
 @dataclass(frozen=True)
 class EncoderConfig(SerializableConfig):
-    """GNN encoder hyper-parameters (paper Section VII defaults).
-
-    ``backend`` picks the message-passing implementation: ``"sparse"``
-    (default; CSR propagation for GCN, vectorized edge-list attention for
-    GAT) or ``"dense"`` (O(N^2) reference used by the parity tests).
-    """
+    """GNN encoder hyper-parameters (paper Section VII defaults)."""
 
     kind: str = "gat"
     hidden_dim: int = 128
     out_dim: int = 64
     num_heads: int = 8
     dropout: float = 0.5
-    backend: str = "sparse"
 
 
 #: Valid ``SamplingConfig.mode`` values.
@@ -156,8 +150,8 @@ class ClusteringConfig(SerializableConfig):
     Attributes
     ----------
     strategy:
-        ``"exact"`` (default) runs the full Lloyd K-Means path used so far —
-        bit-identical to the pre-engine refresh at the same seed.
+        ``"exact"`` (default) runs full Lloyd K-Means with k-means++
+        restarts at the resolved seed.
         ``"minibatch"`` fits MiniBatch-KMeans on at most ``sample_size``
         sampled embeddings and finishes with one full chunked assignment
         pass.  ``"online"`` streams one pass of Sculley-style centroid
@@ -355,8 +349,6 @@ class TrainerConfig(SerializableConfig):
     batch_size: int = 2048
     temperature: float = 0.7
     seed: int = 0
-    mini_batch_kmeans: bool = False
-    kmeans_batch_size: int = 1024
     eval_every: int = 0  # 0 disables intermediate evaluation
 
 
@@ -404,14 +396,13 @@ class OpenIMAConfig(SerializableConfig):
 
 
 def fast_config(max_epochs: int = 8, seed: int = 0, encoder_kind: str = "gcn",
-                batch_size: int = 512, backend: str = "sparse",
-                eval_every: int = 0,
+                batch_size: int = 512, eval_every: int = 0,
                 sampling: Optional[SamplingConfig] = None,
                 clustering: Optional[ClusteringConfig] = None) -> TrainerConfig:
     """A small configuration used by tests, the CLI, and the benchmark harness."""
     return TrainerConfig(
         encoder=EncoderConfig(kind=encoder_kind, hidden_dim=32, out_dim=16, num_heads=2,
-                              dropout=0.3, backend=backend),
+                              dropout=0.3),
         optimizer=OptimizerConfig(learning_rate=5e-3, weight_decay=1e-4),
         sampling=sampling if sampling is not None else SamplingConfig(),
         clustering=clustering if clustering is not None else ClusteringConfig(),

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..assignment.alignment import ClusterAlignment, align_clusters_to_classes
 from ..clustering.engine import ClusteringEngine
-from ..clustering.kmeans import KMeansResult, cluster_embeddings
+from ..clustering.kmeans import KMeansResult
 from ..datasets.splits import OpenWorldDataset
 from .labels import LabelSpace
 
@@ -45,8 +45,7 @@ def two_stage_predict(
     dataset: OpenWorldDataset,
     num_novel_classes: Optional[int] = None,
     seed: int = 0,
-    mini_batch: Optional[bool] = None,
-    kmeans_batch_size: int = 1024,
+    mini_batch: bool = False,
     engine: Optional[ClusteringEngine] = None,
 ) -> InferenceResult:
     """Run the full two-stage inference on precomputed embeddings.
@@ -61,15 +60,13 @@ def two_stage_predict(
         Number of novel classes assumed at inference; defaults to the ground
         truth ``|C_n|`` (the main-table protocol).  Table VI passes an
         estimate instead.
+    seed, mini_batch:
+        Passed to the clustering step,
+        :meth:`~repro.clustering.engine.ClusteringEngine.cluster`.
     engine:
-        Optional :class:`~repro.clustering.engine.ClusteringEngine`; when
-        given, the clustering step runs through its stateless
-        :meth:`~repro.clustering.engine.ClusteringEngine.cluster` path under
-        the configured strategy (``mini_batch`` then acts as an override of
-        the engine's legacy MiniBatch flag, ``None`` meaning "engine
-        default", and ``kmeans_batch_size`` is ignored in favor of the
-        engine's configured batch size).  Without an engine the historical
-        direct K-Means call is used and ``mini_batch=None`` means ``False``.
+        The :class:`~repro.clustering.engine.ClusteringEngine` whose
+        stateless ``cluster`` path runs the clustering step under its
+        configured strategy; ``None`` uses a default (``exact``) engine.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.shape[0] != dataset.graph.num_nodes:
@@ -82,15 +79,9 @@ def two_stage_predict(
     label_space = LabelSpace(seen_classes=split.seen_classes, num_novel=num_novel)
     num_clusters = label_space.num_total
 
-    if engine is not None:
-        cluster_result = engine.cluster(
-            embeddings, num_clusters, seed=seed, mini_batch=mini_batch,
-        )
-    else:
-        cluster_result = cluster_embeddings(
-            embeddings, num_clusters, seed=seed, mini_batch=bool(mini_batch),
-            batch_size=kmeans_batch_size,
-        )
+    engine = engine if engine is not None else ClusteringEngine()
+    cluster_result = engine.cluster(embeddings, num_clusters, seed=seed,
+                                    mini_batch=mini_batch)
 
     train_internal = label_space.to_internal(dataset.labels[split.train_nodes])
     alignment = align_clusters_to_classes(

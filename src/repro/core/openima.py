@@ -27,7 +27,7 @@ from ..datasets.splits import OpenWorldDataset
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .config import OpenIMAConfig, TrainerConfig
-from .inference import InferenceResult, head_predict, two_stage_predict
+from .inference import InferenceResult
 from .losses import (
     bpcl_loss,
     cross_entropy_loss,
@@ -231,35 +231,11 @@ class OpenIMATrainer(GraphTrainer):
         if not self.openima_config.large_scale:
             return super().predict(num_novel_classes=num_novel_classes, seed=seed,
                                    embeddings=embeddings)
-        if embeddings is None:
-            embeddings = self.node_embeddings()
-        predictions = head_predict(
-            embeddings,
-            self.head.linear.weight.data,
-            self.label_space,
-            head_bias=None if self.head.linear.bias is None else self.head.linear.bias.data,
-        )
-        # Keep the clustering/alignment structures from the two-stage path so
-        # downstream consumers (e.g. SC&ACC) still have cluster labels.
-        two_stage = two_stage_predict(
-            embeddings,
-            self.dataset,
-            num_novel_classes=(
-                num_novel_classes if num_novel_classes is not None
-                else self.label_space.num_novel
-            ),
-            seed=self.config.seed if seed is None else seed,
-            # The large-scale profile always clusters with MiniBatch-KMeans
-            # regardless of the trainer's legacy flag (paper Section V).
-            mini_batch=True,
-            engine=self.clustering_engine,
-        )
-        return InferenceResult(
-            predictions=predictions,
-            cluster_result=two_stage.cluster_result,
-            alignment=two_stage.alignment,
-            label_space=self.label_space,
-        )
+        # The large-scale profile clusters with MiniBatch-KMeans (paper
+        # Section V); predictions come from the head.
+        return self.predict_with_head(num_novel_classes, seed, embeddings,
+                                      mini_batch=True)
+
 
 def train_openima(dataset: OpenWorldDataset, config: Optional[OpenIMAConfig] = None
                   ) -> OpenIMATrainer:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..assignment.alignment import ClusterAlignment, align_clusters_to_classes
 from ..clustering.engine import ClusteringEngine, ClusteringOutcome
-from ..clustering.kmeans import KMeansResult, cluster_embeddings
+from ..clustering.kmeans import KMeansResult
 
 
 @dataclass
@@ -43,7 +43,7 @@ class PseudoLabels:
     clustering:
         The engine outcome behind ``cluster_result`` (strategy, whether the
         refresh re-fitted or only reassigned, parameter-version drift);
-        ``None`` when the clustering was produced outside the engine.
+        ``None`` when the caller passed a precomputed ``cluster_result``.
     """
 
     node_indices: np.ndarray
@@ -71,9 +71,6 @@ def generate_pseudo_labels(
     num_seen_classes: int,
     num_clusters: int,
     rho: float = 75.0,
-    seed: int = 0,
-    mini_batch: bool = False,
-    kmeans_batch_size: int = 1024,
     cluster_result: Optional[KMeansResult] = None,
     engine: Optional[ClusteringEngine] = None,
     parameter_version: Optional[int] = None,
@@ -99,13 +96,13 @@ def generate_pseudo_labels(
     cluster_result:
         Optionally reuse a precomputed clustering of ``embeddings``.
     engine:
-        Optional :class:`~repro.clustering.engine.ClusteringEngine`; when
-        given (and no ``cluster_result``), the refresh runs through the
-        engine's stateful path — configured strategy, warm-started
-        centroids, and the ``refresh_tolerance`` short-circuit keyed on
-        ``parameter_version`` — and the outcome is recorded on the returned
-        :class:`PseudoLabels`.  ``seed``/``mini_batch``/``kmeans_batch_size``
-        only apply to the legacy engine-less path.
+        The :class:`~repro.clustering.engine.ClusteringEngine` that clusters
+        when no ``cluster_result`` is given, through its stateful
+        ``refresh`` path: configured strategy, warm-started centroids, and
+        the ``refresh_tolerance`` short-circuit keyed on
+        ``parameter_version``.  The outcome is recorded on the returned
+        :class:`PseudoLabels`.  ``None`` uses a fresh default (``exact``,
+        seed 0) engine.
     """
     if not 0 < rho <= 100:
         raise ValueError("rho must be in (0, 100]")
@@ -116,15 +113,10 @@ def generate_pseudo_labels(
 
     outcome: Optional[ClusteringOutcome] = None
     if cluster_result is None:
-        if engine is not None:
-            outcome = engine.refresh(embeddings, num_clusters,
-                                     parameter_version=parameter_version)
-            cluster_result = outcome.result
-        else:
-            cluster_result = cluster_embeddings(
-                embeddings, num_clusters, seed=seed, mini_batch=mini_batch,
-                batch_size=kmeans_batch_size,
-            )
+        engine = engine if engine is not None else ClusteringEngine()
+        outcome = engine.refresh(embeddings, num_clusters,
+                                 parameter_version=parameter_version)
+        cluster_result = outcome.result
 
     # Confidence: inversely proportional to the distance to the assigned centroid.
     distances = cluster_result.distances_to_center(embeddings)

@@ -31,7 +31,7 @@ from .config import (
     SerializableConfig,
     TrainerConfig,
 )
-from .inference import InferenceResult, two_stage_predict
+from .inference import InferenceResult, head_predict, two_stage_predict
 from .labels import LabelSpace
 
 
@@ -75,7 +75,6 @@ class GraphTrainer:
             out_dim=config.encoder.out_dim,
             dropout=config.encoder.dropout,
             num_heads=config.encoder.num_heads,
-            backend=config.encoder.backend,
             rng=self.rng,
         )
         self.head = ClassificationHead(
@@ -120,7 +119,7 @@ class GraphTrainer:
         #: pseudo-label refresh runs through its stateful path (warm-started
         #: centroids, parameter-version refresh tolerance) and two-stage
         #: prediction through its stateless one.
-        self.clustering_engine = self._build_clustering_engine(config.clustering)
+        self.clustering_engine = ClusteringEngine(config.clustering, seed=config.seed)
 
         self.history = TrainingHistory()
         #: Number of completed training epochs (advanced by :meth:`fit`,
@@ -343,19 +342,6 @@ class GraphTrainer:
         self.config = self.config.with_updates(inference=inference)
         self.inference_engine = InferenceEngine(inference)
 
-    def _build_clustering_engine(self, clustering: ClusteringConfig) -> ClusteringEngine:
-        """One engine-wiring site for construction and reconfiguration.
-
-        The legacy mini_batch_kmeans/kmeans_batch_size flags keep the
-        "exact" strategy bit-identical to the pre-engine behavior.
-        """
-        return ClusteringEngine(
-            clustering,
-            seed=self.config.seed,
-            mini_batch=self.config.mini_batch_kmeans,
-            batch_size=self.config.kmeans_batch_size,
-        )
-
     def configure_clustering(self, clustering: ClusteringConfig) -> None:
         """Swap the clustering settings (strategy, sampling, warm start).
 
@@ -364,7 +350,7 @@ class GraphTrainer:
         persist it.
         """
         self.config = self.config.with_updates(clustering=clustering)
-        self.clustering_engine = self._build_clustering_engine(clustering)
+        self.clustering_engine = ClusteringEngine(clustering, seed=self.config.seed)
 
     def predict(self, num_novel_classes: Optional[int] = None,
                 seed: Optional[int] = None,
@@ -372,6 +358,48 @@ class GraphTrainer:
         """Two-stage prediction over the current (or provided) embeddings."""
         if embeddings is None:
             embeddings = self.node_embeddings()
+        return self._two_stage(embeddings, num_novel_classes, seed)
+
+    def predict_with_head(self, num_novel_classes: Optional[int] = None,
+                          seed: Optional[int] = None,
+                          embeddings: Optional[np.ndarray] = None,
+                          mini_batch: bool = False) -> InferenceResult:
+        """Predict with the classification head's argmax (end-to-end methods).
+
+        The result still carries the two-stage clusters (see
+        :meth:`with_clusters`); ``mini_batch`` picks how they are computed.
+        """
+        if embeddings is None:
+            embeddings = self.node_embeddings()
+        bias = self.head.linear.bias
+        predictions = head_predict(embeddings, self.head.linear.weight.data,
+                                   self.label_space,
+                                   head_bias=None if bias is None else bias.data)
+        return self.with_clusters(predictions, embeddings, num_novel_classes, seed,
+                                  mini_batch=mini_batch)
+
+    def with_clusters(self, predictions: np.ndarray, embeddings: np.ndarray,
+                      num_novel_classes: Optional[int] = None,
+                      seed: Optional[int] = None,
+                      mini_batch: bool = False) -> InferenceResult:
+        """A method's own ``predictions`` plus the two-stage clusters of ``embeddings``.
+
+        Methods that predict by their own rule (the head, OOD rejection)
+        keep the cluster labels and alignment that :meth:`predict` computes,
+        for the consumers that read them: SC&ACC's silhouette and the served
+        ``cluster`` field.
+        """
+        two_stage = self._two_stage(embeddings, num_novel_classes, seed,
+                                    mini_batch=mini_batch)
+        return InferenceResult(
+            predictions=predictions,
+            cluster_result=two_stage.cluster_result,
+            alignment=two_stage.alignment,
+            label_space=self.label_space,
+        )
+
+    def _two_stage(self, embeddings: np.ndarray, num_novel_classes: Optional[int],
+                   seed: Optional[int], mini_batch: bool = False) -> InferenceResult:
         return two_stage_predict(
             embeddings,
             self.dataset,
@@ -379,6 +407,7 @@ class GraphTrainer:
                 num_novel_classes if num_novel_classes is not None else self.label_space.num_novel
             ),
             seed=self.config.seed if seed is None else seed,
+            mini_batch=mini_batch,
             engine=self.clustering_engine,
         )
 

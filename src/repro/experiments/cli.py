@@ -98,8 +98,6 @@ def _add_training_options(parser: argparse.ArgumentParser) -> None:
                         help="mini-batch size (default: 384)")
     parser.add_argument("--encoder", choices=("gcn", "gat"), default="gcn",
                         help="GNN encoder (default: gcn; the paper uses gat)")
-    parser.add_argument("--backend", choices=("sparse", "dense"), default="sparse",
-                        help="message-passing backend (default: sparse)")
     parser.add_argument("--eval-every", type=int, default=0,
                         help="record open-world accuracy every N epochs (0 disables)")
     parser.add_argument("--sampling-mode", choices=("full", "khop", "sampled"),
@@ -335,7 +333,6 @@ def experiment_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         encoder_kind=args.encoder,
         seeds=tuple(args.seeds),
         end_to_end_epochs=args.end_to_end_epochs,
-        backend=args.backend,
         eval_every=args.eval_every,
         sampling_mode=args.sampling_mode,
         n_jobs=args.n_jobs,
@@ -403,7 +400,7 @@ def _handle_run(args: argparse.Namespace) -> dict:
     trainer_config = fast_config(
         max_epochs=args.epochs, seed=args.seed,
         encoder_kind=args.encoder, batch_size=args.batch_size,
-        backend=args.backend, eval_every=args.eval_every,
+        eval_every=args.eval_every,
         sampling=SamplingConfig(mode=args.sampling_mode),
     )
 
@@ -634,7 +631,7 @@ def _handle_stream(args: argparse.Namespace) -> dict:
     trainer_config = fast_config(
         max_epochs=args.epochs, seed=args.seed,
         encoder_kind=args.encoder, batch_size=args.batch_size,
-        backend=args.backend, eval_every=args.eval_every,
+        eval_every=args.eval_every,
         sampling=SamplingConfig(mode=args.sampling_mode),
         clustering=clustering,
     )

@@ -1,13 +1,10 @@
 """Graph neural network encoders (GAT, GCN) and classification heads."""
 
-from .backends import BACKENDS, check_backend
 from .gat import GATEncoder, GATLayer
 from .gcn import GCNEncoder, GCNLayer
 from .heads import ClassificationHead, ProjectionHead
 
 __all__ = [
-    "BACKENDS",
-    "check_backend",
     "GATLayer",
     "GATEncoder",
     "GCNLayer",
@@ -18,18 +15,13 @@ __all__ = [
 
 
 def build_encoder(kind: str, in_features: int, hidden_dim: int = 128, out_dim: int = 64,
-                  dropout: float = 0.5, num_heads: int = 8, backend: str = "sparse",
-                  rng=None):
-    """Factory for encoders by name (``"gat"`` or ``"gcn"``).
-
-    ``backend`` selects the message-passing implementation: ``"sparse"``
-    (default, edge-list / CSR propagation) or ``"dense"`` (O(N^2) reference).
-    """
+                  dropout: float = 0.5, num_heads: int = 8, rng=None):
+    """Factory for encoders by name (``"gat"`` or ``"gcn"``)."""
     kind = kind.lower()
     if kind == "gat":
         return GATEncoder(in_features, hidden_dim=hidden_dim, out_dim=out_dim,
-                          num_heads=num_heads, dropout=dropout, backend=backend, rng=rng)
+                          num_heads=num_heads, dropout=dropout, rng=rng)
     if kind == "gcn":
         return GCNEncoder(in_features, hidden_dim=hidden_dim, out_dim=out_dim,
-                          dropout=dropout, backend=backend, rng=rng)
+                          dropout=dropout, rng=rng)
     raise ValueError(f"unknown encoder kind {kind!r}; expected 'gat' or 'gcn'")

@@ -11,11 +11,11 @@ edge-index representation:
 4. Aggregate ``z_j = sum_i alpha_ij h_i`` and apply ELU; heads are
    concatenated (hidden layers) or averaged (output layer).
 
-Backends
---------
-``backend="sparse"`` (default) evaluates attention on the edge list,
-vectorized across all heads in a single batched projection.  Its per-edge
-half is two autodiff ops on the segment kernels of :mod:`repro.nn.segment`.
+Kernel
+------
+Attention runs on the edge list, vectorized across all heads in a single
+batched projection.  Its per-edge half is two autodiff ops on the segment
+kernels of :mod:`repro.nn.segment`.
 Steps 2 and 3 are :func:`repro.nn.tensor.edge_softmax`, which reduces by
 target with ``np.maximum.reduceat`` and a CSR incidence matmul and whose
 backward sums the score gradients by source and by target.  Step 4's
@@ -26,12 +26,10 @@ backward is a by-source CSR matmul plus a per-edge dot.  No
 holds O(N * H * d + E * H) memory, where ``E`` is the number of edges (incl.
 self loops), ``H`` the head count, and ``d`` the per-head width.  The edges
 and their groupings come cached from :meth:`Graph.attention_edges`, so
-repeated forwards on one graph sort once.  ``backend="dense"``
-materializes the per-head N x N attention matrix (masked softmax + dense
-matmul); it is O(N^2) and exists as the reference implementation for the
-parity tests in ``tests/gnn/test_backend_parity.py``.
+repeated forwards on one graph sort once.  ``tests/gnn/test_backend_parity.py``
+checks outputs and gradients against a per-head masked N x N reference.
 
-The sparse forward is two halves: :meth:`GATLayer.project` (per node) and
+The forward is two halves: :meth:`GATLayer.project` (per node) and
 :meth:`GATLayer.attend` (per edge, over any set of targets' incoming edges).
 Training composes them over the whole graph; layer-wise inference
 (:meth:`GATEncoder.layerwise_plan`) runs the per-edge half per chunk of
@@ -46,12 +44,10 @@ from typing import Optional, Union
 import numpy as np
 
 from ..graphs.graph import Graph
-from ..nn import functional as F
 from ..nn.init import glorot_uniform
 from ..nn.layers import Dropout, Module, Parameter
 from ..nn.segment import EdgeGroups
-from ..nn.tensor import Tensor, cat, edge_aggregate, edge_softmax, no_grad
-from .backends import check_backend
+from ..nn.tensor import Tensor, edge_aggregate, edge_softmax, no_grad
 
 
 class GATLayer(Module):
@@ -65,7 +61,6 @@ class GATLayer(Module):
         concat_heads: bool = True,
         dropout: float = 0.5,
         negative_slope: float = 0.2,
-        backend: str = "sparse",
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
@@ -75,7 +70,6 @@ class GATLayer(Module):
         self.num_heads = num_heads
         self.concat_heads = concat_heads
         self.negative_slope = negative_slope
-        self.backend = check_backend(backend)
         # One projection and one attention vector pair per head, stored as a
         # single parameter tensor for efficiency.
         self.weight = Parameter(
@@ -98,12 +92,10 @@ class GATLayer(Module):
         x = self.feat_dropout(x)
         edges = (edge_index if isinstance(edge_index, EdgeGroups)
                  else EdgeGroups.from_edge_index(edge_index, num_nodes))
-        if self.backend == "dense":
-            return self._forward_dense(x, edges.src, edges.dst, num_nodes)
         return self.attend(*self.project(x), edges)
 
     def project(self, x: Tensor) -> tuple:
-        """Per-node half of the sparse forward, vectorized over every head.
+        """Per-node half of the forward, vectorized over every head.
 
         Returns ``(projected, score_src, score_dst)`` of shapes ``(N, H, O)``,
         ``(N, H)`` and ``(N, H)``: each node's projection and its attention
@@ -137,58 +129,13 @@ class GATLayer(Module):
             return aggregated.reshape(num_targets, self.num_heads * self.out_features)
         return aggregated.mean(axis=1)
 
-    def _forward_dense(self, x: Tensor, src: np.ndarray, dst: np.ndarray,
-                       num_nodes: int) -> Tensor:
-        """Reference path: per-head masked N x N attention (O(N^2) memory).
-
-        The additive mask is log(multiplicity): 0 on single edges, -inf on
-        non-edges, so the row softmax over sources matches
-        :func:`edge_softmax` over incoming edges; a duplicated directed edge
-        carries its attention mass once per copy, exactly like the edge
-        list.  Rows of nodes with no incoming edges would softmax to 0/0 =
-        NaN; they are left unmasked and zeroed through ``row_gate`` instead,
-        matching the all-zero rows the sparse aggregation produces.
-        """
-        multiplicity = np.zeros((num_nodes, num_nodes))
-        np.add.at(multiplicity, (dst, src), 1.0)
-        with np.errstate(divide="ignore"):
-            mask = np.log(multiplicity)
-        has_incoming = np.zeros(num_nodes, dtype=bool)
-        has_incoming[dst] = True
-        mask[~has_incoming] = 0.0
-        row_gate = Tensor(has_incoming.astype(np.float64).reshape(-1, 1))
-
-        head_outputs = []
-        for head in range(self.num_heads):
-            weight_h = self.weight[head]
-            att_src_h = self.att_src[head].reshape(-1, 1)
-            att_dst_h = self.att_dst[head].reshape(-1, 1)
-
-            projected = x.matmul(weight_h)  # (N, O)
-            score_src = projected.matmul(att_src_h).reshape(1, -1)  # (1, N)
-            score_dst = projected.matmul(att_dst_h).reshape(-1, 1)  # (N, 1)
-
-            # logits[j, i] = LeakyReLU(a_src . h_i + a_dst . h_j)
-            logits = (score_src + score_dst).leaky_relu(self.negative_slope)
-            alpha = F.softmax(logits + Tensor(mask), axis=-1) * row_gate
-            alpha = self.att_dropout(alpha)
-            head_outputs.append(alpha.matmul(projected))
-
-        if self.concat_heads:
-            return cat(head_outputs, axis=1)
-        stacked = head_outputs[0]
-        for other in head_outputs[1:]:
-            stacked = stacked + other
-        return stacked * (1.0 / self.num_heads)
-
 
 class GATEncoder(Module):
     """Two-layer GAT encoder producing node representations.
 
     The first layer concatenates its heads and applies ELU; the second layer
     averages its heads, matching the paper's configuration (2 layers, 8
-    heads, hidden dim 128, dropout 0.5).  ``backend`` selects the sparse
-    edge-list attention (default) or the dense reference implementation.
+    heads, hidden dim 128, dropout 0.5).
     """
 
     def __init__(
@@ -198,12 +145,10 @@ class GATEncoder(Module):
         out_dim: int = 64,
         num_heads: int = 8,
         dropout: float = 0.5,
-        backend: str = "sparse",
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
         rng = rng if rng is not None else np.random.default_rng()
-        self.backend = check_backend(backend)
         per_head_hidden = max(1, hidden_dim // num_heads)
         self.layer1 = GATLayer(
             in_features,
@@ -211,7 +156,6 @@ class GATEncoder(Module):
             num_heads=num_heads,
             concat_heads=True,
             dropout=dropout,
-            backend=backend,
             rng=rng,
         )
         self.layer2 = GATLayer(
@@ -220,7 +164,6 @@ class GATEncoder(Module):
             num_heads=num_heads,
             concat_heads=False,
             dropout=dropout,
-            backend=backend,
             rng=rng,
         )
         self.out_dim = out_dim
@@ -253,8 +196,7 @@ class GATEncoder(Module):
         function returns layer 2's projection of the hidden features rather
         than the features themselves, so the hidden matrix is freed once
         projected instead of staying alive, held by the caller, through
-        layer 2.  Both backends use the edge-list kernel; the backend
-        parity tests hold it equal to the dense reference.
+        layer 2.
         """
         edges = graph.attention_edges()
         return [

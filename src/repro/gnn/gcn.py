@@ -6,34 +6,22 @@ benchmark profiles.  The propagation matrix ``D^{-1/2}(A+I)D^{-1/2}`` is
 precomputed with scipy sparse and treated as a constant; only the layer
 weights receive gradients.
 
-Backends
---------
-The encoder supports two propagation backends selected by the ``backend``
-constructor argument (also reachable through
-:class:`repro.core.config.EncoderConfig` and :func:`repro.gnn.build_encoder`):
-
-``"sparse"`` (default)
-    The propagation matrix stays a ``scipy.sparse.csr_matrix`` end-to-end and
-    is applied with :func:`repro.nn.tensor.sparse_matmul`.  One
-    forward+backward pass costs O(nnz * d) FLOPs and O(N * d + nnz) memory,
-    where ``nnz`` is the number of edges incl. self loops and ``d`` the layer
-    width.  For sparse graphs (nnz ~ N * avg_degree) this is linear in N.
-
-``"dense"``
-    The propagation matrix is densified once and applied with ordinary
-    matmul: O(N^2 * d) FLOPs and O(N^2) memory.  Kept as a reference
-    implementation for parity testing and for tiny graphs where BLAS on the
-    dense matrix can win; infeasible beyond a few 10^4 nodes.
-
-Both backends compute the same function; the test suite checks forward and
-gradient agreement to 1e-8 (``tests/gnn/test_backend_parity.py``).
+Propagation
+-----------
+The propagation matrix stays a ``scipy.sparse.csr_matrix`` end-to-end,
+cached per graph by :meth:`repro.graphs.graph.Graph.propagation`, and is
+applied with :func:`repro.nn.tensor.sparse_matmul`.  One forward+backward
+pass costs O(nnz * d) FLOPs and O(N * d + nnz) memory, where ``nnz`` is the
+number of edges incl. self loops and ``d`` the layer width.  For sparse
+graphs (nnz ~ N * avg_degree) this is linear in N.
+``tests/gnn/test_backend_parity.py`` checks forward outputs and gradients
+against a dense ``P @ (X W)`` reference to 1e-8.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import partial
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,9 +29,6 @@ import scipy.sparse as sp
 from ..graphs.graph import Graph
 from ..nn.layers import Dropout, Linear, Module
 from ..nn.tensor import Tensor, no_grad, sparse_matmul
-from .backends import check_backend
-
-Propagation = Union[np.ndarray, sp.spmatrix]
 
 
 class GCNLayer(Module):
@@ -54,13 +39,8 @@ class GCNLayer(Module):
         super().__init__()
         self.linear = Linear(in_features, out_features, rng=rng)
 
-    def forward(self, x: Tensor, propagation: Propagation) -> Tensor:
-        projected = self.linear(x)
-        if sp.issparse(propagation):
-            return sparse_matmul(propagation, projected)
-        # Dense reference path: the propagation matrix is a constant, so it
-        # participates in the graph as a non-gradient tensor.
-        return Tensor(propagation).matmul(projected)
+    def forward(self, x: Tensor, propagation: sp.spmatrix) -> Tensor:
+        return sparse_matmul(propagation, self.linear(x))
 
 
 class GCNEncoder(Module):
@@ -72,7 +52,6 @@ class GCNEncoder(Module):
         hidden_dim: int = 128,
         out_dim: int = 64,
         dropout: float = 0.5,
-        backend: str = "sparse",
         rng: Optional[np.random.Generator] = None,
     ):
         super().__init__()
@@ -84,31 +63,9 @@ class GCNEncoder(Module):
         #: Message-passing depth == receptive-field hops a node's output needs
         #: (checked against ``sampling.num_hops`` by exact khop training).
         self.num_message_passing_layers = 2
-        self.backend = check_backend(backend)
-        self._cached_propagation: Optional[Propagation] = None
-        # Weak reference to the graph whose densified matrix is cached: a
-        # weakref cannot pin a large graph alive, and (unlike keying by
-        # id()) it can never mistake a fresh graph at a recycled address
-        # for the cached one.  The graph's cache_version is compared too, so
-        # the documented in-place mutation path (reassign fields +
-        # invalidate_caches()) drops this cache as well.
-        self._cached_graph: Optional[weakref.ref] = None
-        self._cached_graph_version = -1
-
-    def _propagation(self, graph: Graph) -> Propagation:
-        if self.backend == "sparse":
-            # Already memoized per graph; no encoder-level state needed.
-            self._cached_propagation = graph.propagation()
-            return self._cached_propagation
-        cached = self._cached_graph() if self._cached_graph is not None else None
-        if cached is not graph or self._cached_graph_version != graph.cache_version:
-            self._cached_propagation = graph.propagation().toarray()
-            self._cached_graph = weakref.ref(graph)
-            self._cached_graph_version = graph.cache_version
-        return self._cached_propagation
 
     def forward(self, graph: Graph) -> Tensor:
-        propagation = self._propagation(graph)
+        propagation = graph.propagation()
         x = self.dropout(Tensor(graph.features))
         hidden = self.layer1(x, propagation).relu()
         hidden = self.dropout(hidden)
@@ -129,7 +86,7 @@ class GCNEncoder(Module):
         the previous layer's activations, so at any moment only two layer
         activations and one chunk-sized temporary are alive.
         """
-        propagation = self._propagation(graph)
+        propagation = graph.propagation()
         row_sums = np.asarray(propagation.sum(axis=1)).reshape(-1, 1)
         return [
             partial(_propagation_layer, self.layer1, propagation, row_sums, True),
@@ -137,7 +94,7 @@ class GCNEncoder(Module):
         ]
 
 
-def _propagation_layer(layer: GCNLayer, propagation: Propagation,
+def _propagation_layer(layer: GCNLayer, propagation: sp.spmatrix,
                        row_sums: np.ndarray, relu: bool,
                        h: np.ndarray, chunk_size: int) -> np.ndarray:
     """``layer`` (then ReLU if ``relu``) on all nodes, ``chunk_size`` rows at a time.

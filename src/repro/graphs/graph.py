@@ -82,7 +82,7 @@ class Graph:
         next :meth:`adjacency` / :meth:`propagation` / :meth:`edge_csr` /
         :meth:`attention_edges` call rebuilds from the current fields.  Also
         bumps :attr:`cache_version`, which external caches keyed on this
-        graph (encoder propagation caches, ``repro.inference.EmbeddingCache``)
+        graph (``repro.inference.EmbeddingCache``, serving snapshots)
         compare so a mutated graph can never serve their stale entries.
         """
         self._adjacency_cache = None
@@ -138,9 +138,7 @@ class Graph:
         """Symmetric normalized propagation matrix ``D^{-1/2}(A+I)D^{-1/2}``.
 
         Cached per graph so that every encoder sharing this graph reuses the
-        same CSR matrix instead of renormalizing the adjacency.  The matrix
-        is sparse by construction — densify explicitly (``.toarray()``) only
-        for the dense reference backend.
+        same CSR matrix instead of renormalizing the adjacency.
         """
         if self._propagation_cache is None:
             from .utils import normalized_adjacency

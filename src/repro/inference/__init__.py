@@ -6,7 +6,7 @@ OpenIMA and every two-stage baseline.  This package bounds that cost in two
 orthogonal ways:
 
 * :class:`LayerwiseInference` — deterministic all-node embeddings computed
-  layer by layer in node chunks (GCN and GAT, sparse and dense backends)
+  layer by layer in node chunks (GCN and GAT)
   from the one chunked function per layer that ``encoder.layerwise_plan``
   returns.  GAT's functions run the training attention kernel per chunk of
   targets, so its per-edge attention arrays only ever cover one chunk's

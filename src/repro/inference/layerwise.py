@@ -19,8 +19,7 @@
 
 The encoder contract is the duck-typed ``layerwise_plan(graph)`` method
 (implemented by :class:`repro.gnn.GCNEncoder` and
-:class:`repro.gnn.GATEncoder` for both the sparse and the dense backend),
-returning one chunked function per layer::
+:class:`repro.gnn.GATEncoder`), returning one chunked function per layer::
 
     h = layer(h, chunk_size)    # this layer's output for all N nodes
 
@@ -34,10 +33,9 @@ while layer 2 runs.  GAT's functions run the same attention kernel as training
 incoming edges are sliced from the graph's cached
 :meth:`~repro.graphs.graph.Graph.attention_edges` grouping.
 
-Parity with ``encoder.embed`` is tested at 1e-8 for GCN and GAT on both
-backends, including chunk sizes that do not divide ``N``, ``chunk_size=1``,
-``chunk_size > N``, and a multigraph with duplicate edges
-(``tests/inference/test_layerwise.py``).
+Parity with ``encoder.embed`` is tested at 1e-8 for GCN and GAT, including
+chunk sizes that do not divide ``N``, ``chunk_size=1``, ``chunk_size > N``,
+and a multigraph with duplicate edges (``tests/inference/test_layerwise.py``).
 """
 
 from __future__ import annotations

@@ -53,45 +53,45 @@ class ServeClient:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _request(self, method: str, path: str, body: Optional[dict] = None) -> dict:
+    def _request(self, method: str, path: str, body: Optional[dict] = None,
+                 text: bool = False):
+        """Send one request; the decoded JSON reply (or raw text if ``text``).
+
+        A request is re-sent once, and only when the server closed a reused
+        keep-alive connection (e.g. it restarted).  A timeout is never
+        retried: the server may still be applying the first request, and
+        ``POST /delta`` must not be applied twice.
+        """
         payload = json.dumps(body).encode() if body is not None else None
         headers = {"Content-Type": "application/json"} if payload else {}
+        reused = self._conn is not None and self._conn.sock is not None
         try:
-            conn = self._connection()
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            data = json.loads(response.read() or b"{}")
-            status = response.status
-        except (http.client.HTTPException, ConnectionError, OSError):
-            # Stale keep-alive connection (e.g. server restarted): retry once
-            # on a fresh socket.
-            self.close()
-            conn = self._connection()
-            conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            data = json.loads(response.read() or b"{}")
-            status = response.status
+            status, data = self._exchange(method, path, payload, headers)
+        except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+            if not reused:
+                raise
+            status, data = self._exchange(method, path, payload, headers)
+        if text:
+            if status >= 400:
+                raise ServeClientError(status, {"error": data.decode(errors="replace")})
+            return data.decode()
+        decoded = json.loads(data or b"{}")
         if status >= 400:
-            raise ServeClientError(status, data)
-        return data
+            raise ServeClientError(status, decoded)
+        return decoded
 
-    def _request_text(self, method: str, path: str) -> str:
+    def _exchange(self, method: str, path: str, payload: Optional[bytes],
+                  headers: dict) -> tuple:
+        """``(status, body)`` of one round trip; any error closes the connection."""
+        conn = self._connection()
         try:
-            conn = self._connection()
-            conn.request(method, path)
+            conn.request(method, path, body=payload, headers=headers)
             response = conn.getresponse()
-            data = response.read()
-            status = response.status
-        except (http.client.HTTPException, ConnectionError, OSError):
+            return response.status, response.read()
+        except BaseException:
+            # A half-read reply would be taken for the next request's.
             self.close()
-            conn = self._connection()
-            conn.request(method, path)
-            response = conn.getresponse()
-            data = response.read()
-            status = response.status
-        if status >= 400:
-            raise ServeClientError(status, {"error": data.decode(errors="replace")})
-        return data.decode()
+            raise
 
     # ------------------------------------------------------------------
     # API
@@ -104,7 +104,7 @@ class ServeClient:
 
     def metrics(self) -> str:
         """The server's ``/metrics`` page (Prometheus text format, raw)."""
-        return self._request_text("GET", "/metrics")
+        return self._request("GET", "/metrics", text=True)
 
     def predict(self, node: int) -> dict:
         """Single-node query: prediction, cluster, known-class logits."""

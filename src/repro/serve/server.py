@@ -129,13 +129,21 @@ class _Handler(BaseHTTPRequestHandler):
         _REQUESTS.inc(endpoint=endpoint, status=str(status))
 
     def _send(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(body)
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            # The client hung up (e.g. it timed out) before its reply was
+            # written; its stream is gone, so close instead of a traceback.
+            self.close_connection = True
+            EVENTS.warning("client disconnected before the reply was written",
+                           source="serve.http", client=self.client_address[0],
+                           path=self.path, status=status, error=type(exc).__name__)
         self._observe(status)
 
     def _reply(self, status: int, payload: dict) -> None:

@@ -70,6 +70,24 @@ class TestEstimatorSurface:
         assert clf.trainer_.margin_scale == 0.25
 
 
+def saved_checkpoint(tmp_path):
+    """A 1-epoch OpenIMA checkpoint at ``tmp_path / "ckpt"``."""
+    return make_classifier(max_epochs=1).fit("citeseer", **TINY).save(tmp_path / "ckpt")
+
+
+def edit_manifest(path, edit):
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def edit_weights(path, edit):
+    with np.load(path / "weights.npz") as bundle:
+        arrays = {name: bundle[name] for name in bundle.files}
+    edit(arrays)
+    np.savez(path / "weights.npz", **arrays)
+
+
 class TestSaveLoadRoundTrip:
     def test_predictions_bitwise_identical(self, tmp_path):
         clf = make_classifier().fit("citeseer", **TINY)
@@ -103,6 +121,48 @@ class TestSaveLoadRoundTrip:
         manifest["format_version"] = CHECKPOINT_FORMAT_VERSION + offset
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CheckpointError, match="format version.*[Rr]etrain"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
+    def test_truncated_weights_rejected(self, tmp_path):
+        weights = saved_checkpoint(tmp_path) / "weights.npz"
+        weights.write_bytes(weights.read_bytes()[: weights.stat().st_size // 2])
+        with pytest.raises(CheckpointError, match="weights.npz is unreadable"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
+    def test_truncated_manifest_rejected(self, tmp_path):
+        manifest = saved_checkpoint(tmp_path) / "manifest.json"
+        manifest.write_text(manifest.read_text()[:200])
+        with pytest.raises(CheckpointError, match="manifest.json is not valid JSON"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
+    def test_missing_manifest_key_rejected(self, tmp_path):
+        edit_manifest(saved_checkpoint(tmp_path), lambda manifest: manifest.pop("rng_state"))
+        with pytest.raises(CheckpointError,
+                           match=r"manifest.json has missing keys \['rng_state'\]"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
+    def test_unknown_manifest_key_rejected(self, tmp_path):
+        edit_manifest(saved_checkpoint(tmp_path),
+                      lambda manifest: manifest.update(notes="hand-edited"))
+        with pytest.raises(CheckpointError, match=r"unknown keys \['notes'\]"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
+    def test_misshapen_head_weight_rejected(self, tmp_path):
+        def drop_row(arrays):
+            arrays["head.linear.weight"] = arrays["head.linear.weight"][:-1]
+
+        edit_weights(saved_checkpoint(tmp_path), drop_row)
+        with pytest.raises(CheckpointError,
+                           match="weights.npz: the head arrays do not fit.*linear.weight"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        def poison(arrays):
+            name = next(name for name in sorted(arrays) if name.startswith("encoder."))
+            arrays[name] = np.full_like(arrays[name], np.nan)
+
+        edit_weights(saved_checkpoint(tmp_path), poison)
+        with pytest.raises(CheckpointError, match="weights.npz: array 'encoder.* is not finite"):
             OpenWorldClassifier.load(tmp_path / "ckpt")
 
     def test_missing_checkpoint_rejected(self, tmp_path):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.clustering import ClusteringEngine, normalized_mutual_information
-from repro.clustering.kmeans import KMeans, MiniBatchKMeans, cluster_embeddings
+from repro.clustering.engine import MINI_BATCH_SIZE
+from repro.clustering.kmeans import KMeans, MiniBatchKMeans
 from repro.core.config import ClusteringConfig
 
 
@@ -61,7 +62,7 @@ class TestConfigValidation:
 
 class TestExactStrategy:
     def test_refresh_bit_identical_to_legacy(self, data):
-        legacy = cluster_embeddings(data, 5, seed=0)
+        legacy = KMeans(5, seed=0).fit(data)
         engine = ClusteringEngine(ClusteringConfig(), seed=0)
         for _ in range(3):  # every refresh matches, not just the first
             outcome = engine.refresh(data, 5)
@@ -69,14 +70,6 @@ class TestExactStrategy:
             assert np.array_equal(outcome.result.labels, legacy.labels)
             assert np.array_equal(outcome.result.centers, legacy.centers)
             assert outcome.result.inertia == legacy.inertia
-
-    def test_legacy_mini_batch_flag_honored(self, data):
-        legacy = MiniBatchKMeans(5, batch_size=128, seed=0).fit(data)
-        engine = ClusteringEngine(ClusteringConfig(), seed=0,
-                                  mini_batch=True, batch_size=128)
-        outcome = engine.refresh(data, 5)
-        assert np.array_equal(outcome.result.labels, legacy.labels)
-        assert np.array_equal(outcome.result.centers, legacy.centers)
 
     def test_cluster_matches_direct_kmeans(self, data):
         engine = ClusteringEngine(ClusteringConfig(), seed=0)
@@ -86,14 +79,14 @@ class TestExactStrategy:
         assert np.array_equal(result.centers, direct.centers)
 
     def test_cluster_mini_batch_override(self, data):
-        engine = ClusteringEngine(ClusteringConfig(), seed=0, batch_size=128)
-        direct = MiniBatchKMeans(4, batch_size=128, seed=2).fit(data)
+        engine = ClusteringEngine(ClusteringConfig(), seed=0)
+        direct = MiniBatchKMeans(4, batch_size=MINI_BATCH_SIZE, seed=2).fit(data)
         result = engine.cluster(data, 4, seed=2, mini_batch=True)
         assert np.array_equal(result.labels, direct.labels)
 
     def test_dedicated_config_seed_overrides_trainer_seed(self, data):
         engine = ClusteringEngine(ClusteringConfig(seed=11), seed=0)
-        legacy = cluster_embeddings(data, 5, seed=11)
+        legacy = KMeans(5, seed=11).fit(data)
         outcome = engine.refresh(data, 5)
         assert np.array_equal(outcome.result.labels, legacy.labels)
 
@@ -101,7 +94,7 @@ class TestExactStrategy:
 @pytest.mark.parametrize("strategy", ["minibatch", "online"])
 class TestApproximateStrategies:
     def test_nmi_against_exact(self, data, strategy):
-        exact = cluster_embeddings(data, 5, seed=0)
+        exact = KMeans(5, seed=0).fit(data)
         engine = ClusteringEngine(
             ClusteringConfig(strategy=strategy, sample_size=256,
                              reassign_chunk_size=128),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.clustering.kmeans import (
     KMeans,
     MiniBatchKMeans,
-    cluster_embeddings,
     kmeans_plus_plus_init,
 )
 
@@ -146,14 +145,6 @@ class TestMiniBatchKMeans:
         data, _ = blobs()
         labels = MiniBatchKMeans(3, seed=1).fit_predict(data)
         assert labels.shape == (data.shape[0],)
-
-
-class TestClusterEmbeddingsHelper:
-    def test_full_and_mini_batch_paths(self):
-        data, _ = blobs()
-        full = cluster_embeddings(data, 3, seed=0, mini_batch=False)
-        mini = cluster_embeddings(data, 3, seed=0, mini_batch=True, batch_size=64)
-        assert full.labels.shape == mini.labels.shape
 
 
 class TestPropertyBased:

@@ -181,7 +181,7 @@ class TestEngine:
     @staticmethod
     def run(config, data):
         """Two cold clusterings, then three refreshes (the last two warm)."""
-        engine = ClusteringEngine(config, seed=9, batch_size=128)
+        engine = ClusteringEngine(config, seed=9)
         results = [engine.cluster(data, 6), engine.cluster(data, 6, mini_batch=True)]
         for step in range(3):
             results.append(engine.refresh(data + 0.01 * step, 6).result)

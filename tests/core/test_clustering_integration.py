@@ -2,8 +2,8 @@
 
 The acceptance bar for the engine refactor: with the default ``exact``
 strategy, every pseudo-label refresh and every two-stage prediction is
-bit-identical to the direct ``cluster_embeddings`` path it replaced — across
-multiple refreshes, for OpenIMA and the clustering baselines.  The
+bit-identical to a direct ``KMeans(k, seed=seed)`` fit made in the test —
+across multiple refreshes, for OpenIMA and the clustering baselines.  The
 approximate strategies must stay within NMI >= 0.95 of the exact assignment.
 """
 
@@ -16,7 +16,7 @@ from repro.baselines.opencon import OpenConTrainer
 from repro.baselines.openwgl import OpenWGLTrainer
 from repro.baselines.orca import ORCATrainer
 from repro.clustering import normalized_mutual_information
-from repro.clustering.kmeans import cluster_embeddings
+from repro.clustering.kmeans import KMeans
 from repro.core.callbacks import Callback
 from repro.core.config import ClusteringConfig, OpenIMAConfig, fast_config
 from repro.core.openima import OpenIMATrainer
@@ -31,7 +31,7 @@ def openima_config(max_epochs=4, clustering=None, **overrides):
 
 
 class RefreshParityCallback(Callback):
-    """After every refresh, recompute the legacy pseudo-label path and compare.
+    """After every refresh, recompute the pseudo labels from a direct KMeans fit.
 
     ``on_epoch_start`` fires right after the trainer's own hook (where the
     refresh lives), while the encoder parameters — and therefore the cached
@@ -44,16 +44,15 @@ class RefreshParityCallback(Callback):
     def on_epoch_start(self, trainer, epoch):
         embeddings = trainer.node_embeddings()
         split = trainer.dataset.split
+        num_clusters = trainer.label_space.num_total
         legacy = generate_pseudo_labels(
             embeddings,
             labeled_indices=split.train_nodes,
             labeled_internal_labels=trainer._train_internal,
             num_seen_classes=trainer.label_space.num_seen,
-            num_clusters=trainer.label_space.num_total,
+            num_clusters=num_clusters,
             rho=trainer.openima_config.rho,
-            seed=trainer.config.seed,
-            mini_batch=trainer.config.mini_batch_kmeans,
-            kmeans_batch_size=trainer.config.kmeans_batch_size,
+            cluster_result=KMeans(num_clusters, seed=trainer.config.seed).fit(embeddings),
         )
         num_nodes = trainer.dataset.graph.num_nodes
         assert np.array_equal(trainer._pseudo_lookup,
@@ -88,16 +87,12 @@ class TestExactRefreshParity:
         trainer.fit()
         for _ in range(3):  # repeated predictions stay identical (stateless)
             result = trainer.predict()
-            legacy = cluster_embeddings(
-                trainer.node_embeddings(), trainer.label_space.num_total,
-                seed=trainer.config.seed,
-            )
+            legacy = KMeans(trainer.label_space.num_total,
+                            seed=trainer.config.seed).fit(trainer.node_embeddings())
             assert np.array_equal(result.cluster_result.labels, legacy.labels)
             assert np.array_equal(result.cluster_result.centers, legacy.centers)
 
     def test_openwgl_ood_clusters_match_legacy(self, small_dataset):
-        from repro.clustering.kmeans import KMeans
-
         trainer = OpenWGLTrainer(small_dataset, fast_config(max_epochs=2, seed=0,
                                                             batch_size=128))
         trainer.fit()
@@ -123,8 +118,8 @@ class TestApproximateStrategiesEndToEnd:
         trainer.fit()
         assert trainer.pseudo_labels.clustering.strategy == strategy
         embeddings = trainer.node_embeddings()
-        exact = cluster_embeddings(embeddings, trainer.label_space.num_total,
-                                   seed=trainer.config.seed)
+        exact = KMeans(trainer.label_space.num_total,
+                       seed=trainer.config.seed).fit(embeddings)
         approx = trainer.predict().cluster_result
         assert normalized_mutual_information(approx.labels, exact.labels) >= 0.95
 

@@ -30,7 +30,7 @@ from repro.graphs.generators import SBMConfig
 from repro.serve.server import ServeConfig
 
 ALL_CONFIGS = [
-    EncoderConfig(kind="gcn", hidden_dim=48, backend="dense"),
+    EncoderConfig(kind="gcn", hidden_dim=48),
     OptimizerConfig(learning_rate=3e-3, weight_decay=0.0),
     SamplingConfig(mode="sampled", num_hops=3, fanouts=[5, 5, 5], seed=2),
     ClusteringConfig(strategy="online", sample_size=512, warm_start=True,
@@ -138,6 +138,22 @@ class TestValidation:
     def test_unknown_openima_key_raises(self):
         with pytest.raises(ValueError, match="unknown OpenIMAConfig keys"):
             OpenIMAConfig.from_dict({"etaa": 1.0})
+
+    @pytest.mark.parametrize("config_class, data, message", [
+        (TrainerConfig, {"encoder": {"backend": "sparse"}},
+         "unknown EncoderConfig keys.*'backend'"),
+        (TrainerConfig, {"mini_batch_kmeans": True},
+         "unknown TrainerConfig keys.*'mini_batch_kmeans'"),
+        (TrainerConfig, {"kmeans_batch_size": 1024},
+         "unknown TrainerConfig keys.*'kmeans_batch_size'"),
+        (ExperimentConfig, {"backend": "dense"},
+         "unknown ExperimentConfig keys.*'backend'"),
+    ], ids=["encoder.backend", "trainer.mini_batch_kmeans",
+            "trainer.kmeans_batch_size", "experiment.backend"])
+    def test_removed_option_rejected(self, config_class, data, message):
+        """The dense-backend and legacy K-Means options fail loudly, not silently."""
+        with pytest.raises(ValueError, match=message):
+            config_class.from_dict(data)
 
     def test_error_names_valid_keys(self):
         with pytest.raises(ValueError, match="valid keys"):

@@ -77,8 +77,7 @@ class TestTwoStagePredict:
 
     def test_mini_batch_kmeans_path(self):
         dataset = ideal_dataset()
-        result = two_stage_predict(dataset.graph.features, dataset, seed=0, mini_batch=True,
-                                   kmeans_batch_size=32)
+        result = two_stage_predict(dataset.graph.features, dataset, seed=0, mini_batch=True)
         assert result.predictions.shape[0] == dataset.graph.num_nodes
 
 

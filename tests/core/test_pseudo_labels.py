@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.clustering import ClusteringEngine
 from repro.clustering.kmeans import KMeans
+from repro.core.config import ClusteringConfig
 from repro.core.pseudo_labels import generate_pseudo_labels
 
 
@@ -36,7 +38,6 @@ class TestGeneratePseudoLabels:
             num_seen_classes=2,
             num_clusters=4,
             rho=rho,
-            seed=0,
             **kwargs,
         )
 
@@ -102,5 +103,7 @@ class TestGeneratePseudoLabels:
         assert (lookup[unselected_mask] == -1).all()
 
     def test_mini_batch_path(self):
-        pseudo = self.generate(mini_batch=True, kmeans_batch_size=32)
+        engine = ClusteringEngine(ClusteringConfig(strategy="minibatch", sample_size=32))
+        pseudo = self.generate(engine=engine)
+        assert pseudo.clustering.strategy == "minibatch"
         assert pseudo.num_selected > 0

@@ -9,6 +9,7 @@ import pytest
 
 from repro.baselines.two_stage import InfoNCETrainer
 from repro.core.config import EncoderConfig, OptimizerConfig, TrainerConfig, fast_config
+from repro.core.inference import head_predict, two_stage_predict
 from repro.core.trainer import GraphTrainer, TrainingHistory
 
 
@@ -123,6 +124,33 @@ class TestGraphTrainer:
         assert logits.shape == (
             small_dataset.graph.num_nodes, trainer.label_space.num_total
         )
+
+    def test_with_clusters_keeps_predictions_and_attaches_two_stage_clusters(
+            self, small_dataset, tiny_trainer_config):
+        trainer = InfoNCETrainer(small_dataset, tiny_trainer_config)
+        embeddings = trainer.node_embeddings()
+        predictions = np.arange(small_dataset.graph.num_nodes) % 3
+        result = trainer.with_clusters(predictions, embeddings, seed=3)
+        expected = two_stage_predict(embeddings, small_dataset, seed=3)
+        assert result.predictions is predictions
+        assert result.label_space is trainer.label_space
+        assert np.array_equal(result.cluster_result.labels, expected.cluster_result.labels)
+        assert np.array_equal(result.cluster_result.centers, expected.cluster_result.centers)
+        assert result.alignment.mapping == expected.alignment.mapping
+
+    def test_predict_with_head_takes_head_argmax_and_mini_batch_clusters(
+            self, small_dataset, tiny_trainer_config):
+        trainer = InfoNCETrainer(small_dataset, tiny_trainer_config)
+        embeddings = trainer.node_embeddings()
+        result = trainer.predict_with_head(seed=3, embeddings=embeddings, mini_batch=True)
+        linear = trainer.head.linear
+        expected = head_predict(embeddings, linear.weight.data, trainer.label_space,
+                                head_bias=None if linear.bias is None else linear.bias.data)
+        assert np.array_equal(result.predictions, expected)
+        mini = two_stage_predict(embeddings, small_dataset, seed=3, mini_batch=True)
+        exact = two_stage_predict(embeddings, small_dataset, seed=3)
+        assert np.array_equal(result.cluster_result.centers, mini.cluster_result.centers)
+        assert not np.array_equal(result.cluster_result.centers, exact.cluster_result.centers)
 
     def test_trailing_remainder_folded_into_last_batch(self, small_dataset):
         # 160 nodes with batch_size 53 leaves a remainder of 1, which used to

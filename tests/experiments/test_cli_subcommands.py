@@ -20,7 +20,6 @@ class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(TINY_RUN)
         assert args.experiment == "run"
-        assert args.backend == "sparse"
         assert args.eval_every == 0
         assert args.seed == 0
 
@@ -28,14 +27,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--method", "openima"])
 
-    def test_backend_choices(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(TINY_RUN + ["--backend", "cuda"])
+    def test_backend_flag_removed(self):
+        for argv in (TINY_RUN, ["stream", "--dataset", "citeseer"], ["table3"]):
+            build_parser().parse_args(argv)
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--backend", "sparse"])
 
-    def test_tables_accept_backend_and_eval_every(self):
-        args = build_parser().parse_args(
-            ["table3", "--backend", "dense", "--eval-every", "2"])
-        assert args.backend == "dense"
+    def test_tables_accept_eval_every(self):
+        args = build_parser().parse_args(["table3", "--eval-every", "2"])
         assert args.eval_every == 2
 
     def test_grid_pool_flags_only_on_table_and_figure_commands(self):
@@ -89,10 +88,6 @@ class TestRunCommand:
     def test_run_eval_every_records_evaluations(self):
         result = main(TINY_RUN + ["--eval-every", "1"])
         assert len(result["evaluations"]) == 1
-
-    def test_run_dense_backend(self):
-        result = main(TINY_RUN + ["--backend", "dense"])
-        assert result["epochs_trained"] == 1
 
     def test_run_khop_sampling_flag(self):
         result = main(TINY_RUN + ["--sampling-mode", "khop"])

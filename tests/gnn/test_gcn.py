@@ -22,7 +22,7 @@ def cycle_graph(num_nodes=8, num_features=5, seed=0):
 class TestGCNLayer:
     def test_shape_and_gradients(self):
         graph = cycle_graph()
-        propagation = normalized_adjacency(graph).toarray()
+        propagation = normalized_adjacency(graph)
         layer = GCNLayer(5, 3, rng=np.random.default_rng(0))
         out = layer(Tensor(graph.features), propagation)
         assert out.shape == (8, 3)
@@ -32,7 +32,7 @@ class TestGCNLayer:
 
     def test_propagation_mixes_neighbours(self):
         graph = cycle_graph()
-        propagation = normalized_adjacency(graph).toarray()
+        propagation = normalized_adjacency(graph)
         layer = GCNLayer(5, 5, rng=np.random.default_rng(1))
         # Using an identity weight approximation: check output depends on neighbours.
         layer.linear.weight.data = np.eye(5)
@@ -55,18 +55,20 @@ class TestGCNEncoder:
         graph = cycle_graph()
         encoder = GCNEncoder(5, hidden_dim=8, out_dim=4, rng=np.random.default_rng(0))
         encoder.embed(graph)
-        first_cache = encoder._cached_propagation
+        first_cache = graph._propagation_cache
+        assert first_cache is not None
         encoder.embed(graph)
-        assert encoder._cached_propagation is first_cache
+        assert graph._propagation_cache is first_cache
 
     def test_cache_invalidated_for_new_graph(self):
         graph_a = cycle_graph(seed=0)
         graph_b = cycle_graph(seed=1)
         encoder = GCNEncoder(5, hidden_dim=8, out_dim=4, rng=np.random.default_rng(0))
         encoder.embed(graph_a)
-        cache_a = encoder._cached_propagation
+        cache_a = graph_a._propagation_cache
         encoder.embed(graph_b)
-        assert encoder._cached_propagation is not cache_a
+        assert graph_b._propagation_cache is not None
+        assert graph_b._propagation_cache is not cache_a
 
     def test_training_reduces_reconstruction_loss(self):
         graph = cycle_graph(num_nodes=12, seed=2)

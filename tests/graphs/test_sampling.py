@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.gnn import build_encoder
 from repro.gnn.gat import GATEncoder
 from repro.gnn.gcn import GCNEncoder
 from repro.graphs.graph import Graph
@@ -14,6 +15,7 @@ from repro.graphs.sampling import (
     khop_subgraph,
 )
 from repro.graphs.utils import symmetrize_edges
+from tests.gnn.test_backend_parity import reference_embed
 
 
 def random_graph(num_nodes=200, avg_degree=6, num_features=12, seed=0) -> Graph:
@@ -124,29 +126,37 @@ class TestKhopSubgraph:
 class TestEncoderExactness:
     """A 2-layer encoder on the 2-hop subgraph equals the full graph at seeds."""
 
-    @pytest.mark.parametrize("backend", ["sparse", "dense"])
-    def test_gcn_outputs_match(self, backend):
+    def test_gcn_outputs_match(self):
         graph = random_graph()
         seeds = np.random.default_rng(1).choice(graph.num_nodes, size=24, replace=False)
         encoder = GCNEncoder(graph.num_features, hidden_dim=8, out_dim=4,
-                             dropout=0.0, backend=backend,
-                             rng=np.random.default_rng(2))
+                             dropout=0.0, rng=np.random.default_rng(2))
         full = encoder.embed(graph)
         batch = khop_subgraph(graph, seeds, 2)
         sub = encoder.embed(batch.graph)
         np.testing.assert_allclose(sub[batch.seed_local], full[seeds], atol=1e-8)
 
-    @pytest.mark.parametrize("backend", ["sparse", "dense"])
-    def test_gat_outputs_match(self, backend):
+    def test_gat_outputs_match(self):
         graph = random_graph()
         seeds = np.random.default_rng(1).choice(graph.num_nodes, size=24, replace=False)
         encoder = GATEncoder(graph.num_features, hidden_dim=8, out_dim=4,
-                             num_heads=2, dropout=0.0, backend=backend,
-                             rng=np.random.default_rng(2))
+                             num_heads=2, dropout=0.0, rng=np.random.default_rng(2))
         full = encoder.embed(graph)
         batch = khop_subgraph(graph, seeds, 2)
         sub = encoder.embed(batch.graph)
         np.testing.assert_allclose(sub[batch.seed_local], full[seeds], atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["gcn", "gat"])
+    def test_outputs_match_dense_reference(self, kind):
+        graph = random_graph()
+        seeds = np.random.default_rng(1).choice(graph.num_nodes, size=24, replace=False)
+        encoder = build_encoder(kind, in_features=graph.num_features, hidden_dim=8,
+                                out_dim=4, num_heads=2, dropout=0.0,
+                                rng=np.random.default_rng(2))
+        batch = khop_subgraph(graph, seeds, 2)
+        sub = encoder.embed(batch.graph)
+        np.testing.assert_allclose(sub[batch.seed_local],
+                                   reference_embed(encoder, graph)[seeds], atol=1e-8)
 
 
 class TestNeighborSampler:

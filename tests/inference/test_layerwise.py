@@ -1,8 +1,9 @@
-"""Layer-wise inference parity: chunked evaluation vs ``encoder.embed``.
+"""Layer-wise inference parity: chunked evaluation vs ``encoder.embed`` and
+vs the dense O(N^2) reference encoders of ``tests/gnn/test_backend_parity.py``.
 
-The acceptance bar is 1e-8 agreement for GCN and GAT on both backends,
-including chunk sizes that do not divide the node count, ``chunk_size=1``,
-``chunk_size > N``, and a multigraph with duplicate edges and self loops.
+The acceptance bar is 1e-8 agreement for GCN and GAT, including chunk sizes
+that do not divide the node count, ``chunk_size=1``, ``chunk_size > N``, and
+a multigraph with duplicate edges and self loops.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.gnn import GATEncoder, GCNEncoder
 from repro.graphs.graph import Graph
 from repro.graphs.utils import symmetrize_edges
 from repro.inference import LayerwiseInference
+from tests.gnn.test_backend_parity import reference_embed
 
 NUM_NODES = 97  # deliberately prime so no aligned chunk size divides it
 NUM_FEATURES = 12
@@ -46,13 +48,13 @@ def multigraph(graph) -> Graph:
                  name="layerwise-multigraph")
 
 
-def build_encoder(kind: str, backend: str):
+def build_encoder(kind: str):
     if kind == "gcn":
         encoder = GCNEncoder(NUM_FEATURES, hidden_dim=10, out_dim=6, dropout=0.4,
-                             backend=backend, rng=np.random.default_rng(1))
+                             rng=np.random.default_rng(1))
     else:
         encoder = GATEncoder(NUM_FEATURES, hidden_dim=8, out_dim=6, num_heads=4,
-                             dropout=0.4, backend=backend, rng=np.random.default_rng(2))
+                             dropout=0.4, rng=np.random.default_rng(2))
     # Perturb every parameter so zero-initialized biases cannot mask a
     # missing term (a trained GCN bias is propagated, not simply added).
     rng = np.random.default_rng(9)
@@ -62,10 +64,9 @@ def build_encoder(kind: str, backend: str):
 
 
 @pytest.mark.parametrize("kind", ["gcn", "gat"])
-@pytest.mark.parametrize("backend", ["sparse", "dense"])
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_layerwise_matches_full_embed(graph, multigraph, kind, backend, chunk_size):
-    encoder = build_encoder(kind, backend)
+def test_layerwise_matches_full_embed(graph, multigraph, kind, chunk_size):
+    encoder = build_encoder(kind)
     for inputs in (graph, multigraph):
         full = encoder.embed(inputs)
         layerwise = LayerwiseInference(chunk_size=chunk_size).run(encoder, inputs)
@@ -74,9 +75,20 @@ def test_layerwise_matches_full_embed(graph, multigraph, kind, backend, chunk_si
 
 
 @pytest.mark.parametrize("kind", ["gcn", "gat"])
+@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
+def test_layerwise_matches_dense_reference(graph, multigraph, kind, chunk_size):
+    """The chunked path also agrees with an independent dense computation."""
+    encoder = build_encoder(kind)
+    for inputs in (graph, multigraph):
+        layerwise = LayerwiseInference(chunk_size=chunk_size).run(encoder, inputs)
+        np.testing.assert_allclose(layerwise, reference_embed(encoder, inputs),
+                                   rtol=0.0, atol=1e-8, err_msg=inputs.name)
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gat"])
 def test_layerwise_ignores_training_mode_dropout(graph, kind):
     """Layer-wise inference is deterministic even on a train()-mode encoder."""
-    encoder = build_encoder(kind, "sparse")
+    encoder = build_encoder(kind)
     encoder.train()
     layerwise = LayerwiseInference(chunk_size=13).run(encoder, graph)
     assert all(module.training for module in encoder.modules())
@@ -90,7 +102,7 @@ def test_isolated_node_matches_full(graph):
     edges = np.array([[0, 1, 2, 5], [1, 2, 0, 6]])  # nodes 7..29 isolated
     isolated = Graph(features=features, edge_index=symmetrize_edges(edges))
     for kind in ("gcn", "gat"):
-        encoder = build_encoder(kind, "sparse")
+        encoder = build_encoder(kind)
         layerwise = LayerwiseInference(chunk_size=4).run(encoder, isolated)
         np.testing.assert_allclose(layerwise, encoder.embed(isolated),
                                    rtol=0.0, atol=1e-8)

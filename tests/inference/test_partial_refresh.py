@@ -15,6 +15,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.utils import symmetrize_edges
 from repro.inference.engine import InferenceEngine
 from repro.streaming import DynamicGraph
+from tests.gnn.test_backend_parity import reference_embed
 
 NUM_FEATURES = 8
 
@@ -46,13 +47,13 @@ def make_delta(graph: Graph, num_new=2, num_edges=3, seed=0) -> GraphDelta:
     )
 
 
-def make_encoder(kind: str, backend: str, seed=0):
+def make_encoder(kind: str, seed=0):
     rng = np.random.default_rng(seed)
     if kind == "gcn":
         return GCNEncoder(NUM_FEATURES, hidden_dim=16, out_dim=8,
-                          dropout=0.0, backend=backend, rng=rng)
+                          dropout=0.0, rng=rng)
     return GATEncoder(NUM_FEATURES, hidden_dim=16, out_dim=8, num_heads=2,
-                      dropout=0.0, backend=backend, rng=rng)
+                      dropout=0.0, rng=rng)
 
 
 def make_engine(**overrides) -> InferenceEngine:
@@ -65,10 +66,9 @@ class TestParity:
     """Partial refresh must be indistinguishable from a full recompute."""
 
     @pytest.mark.parametrize("kind", ["gcn", "gat"])
-    @pytest.mark.parametrize("backend", ["sparse", "dense"])
-    def test_matches_full_recompute(self, kind, backend):
+    def test_matches_full_recompute(self, kind):
         graph = make_graph()
-        encoder = make_encoder(kind, backend)
+        encoder = make_encoder(kind)
         engine = make_engine()
         dynamic = DynamicGraph(graph, num_hops=encoder.num_message_passing_layers)
         engine.embeddings(encoder, graph)  # warm the cache
@@ -87,9 +87,23 @@ class TestParity:
         # Warm-up was the only monolithic pass over the whole graph.
         assert engine.forward_count == 1
 
+    @pytest.mark.parametrize("kind", ["gcn", "gat"])
+    def test_matches_dense_reference(self, kind):
+        """The patched embeddings equal the dense O(N^2) reference encoder."""
+        graph = make_graph(seed=1)
+        encoder = make_encoder(kind, seed=1)
+        engine = make_engine()
+        dynamic = DynamicGraph(graph, num_hops=encoder.num_message_passing_layers)
+        engine.embeddings(encoder, graph)
+        report = dynamic.apply(make_delta(graph, num_new=3, num_edges=5, seed=4))
+        patched = engine.refresh_after_delta(encoder, graph, report)
+        assert engine.partial_refresh_count == 1
+        assert graph.num_nodes == patched.shape[0] == 153
+        np.testing.assert_allclose(patched, reference_embed(encoder, graph), atol=1e-8)
+
     def test_unaffected_rows_bit_identical(self):
         graph = make_graph(seed=3)
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         before = engine.embeddings(encoder, graph).copy()
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -102,7 +116,7 @@ class TestParity:
 class TestFallbacks:
     def test_threshold_forces_full_recompute(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine(partial_threshold=0.001)
         engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -114,7 +128,7 @@ class TestFallbacks:
 
     def test_partial_refresh_disabled_by_config(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine(partial_refresh=False)
         engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -125,7 +139,7 @@ class TestFallbacks:
 
     def test_no_cache_falls_back_to_full(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine(cache=False)
         dynamic = DynamicGraph(graph, num_hops=2)
         report = dynamic.apply(make_delta(graph))
@@ -135,7 +149,7 @@ class TestFallbacks:
     def test_stale_report_falls_back(self):
         """A report taken before a later delta no longer bounds the change."""
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -147,7 +161,7 @@ class TestFallbacks:
 
     def test_parameter_update_invalidates_patch_base(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         engine.embeddings(encoder, graph)
         encoder.load_state_dict(encoder.state_dict())  # bumps param version
@@ -159,7 +173,7 @@ class TestFallbacks:
 
     def test_zero_affected_delta_rekeys_without_forward(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         cached = engine.embeddings(encoder, graph)
         dynamic = DynamicGraph(graph, num_hops=2)
@@ -173,7 +187,7 @@ class TestFallbacks:
 
     def test_encoder_deeper_than_report_raises(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")  # 2 message-passing layers
+        encoder = make_encoder("gcn")  # 2 message-passing layers
         engine = make_engine()
         dynamic = DynamicGraph(graph, num_hops=1)
         report = dynamic.apply(make_delta(graph))
@@ -184,7 +198,7 @@ class TestFallbacks:
 class TestStaleEntry:
     def test_returns_previous_version_entry(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         cached = engine.embeddings(encoder, graph)
         misses_before = engine.cache.misses
@@ -198,11 +212,11 @@ class TestStaleEntry:
 
     def test_none_for_different_encoder_or_graph(self):
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         engine.embeddings(encoder, graph)
         assert engine.cache.stale_entry(
-            make_encoder("gcn", "sparse", seed=1), graph) is None
+            make_encoder("gcn", seed=1), graph) is None
         assert engine.cache.stale_entry(encoder, make_graph(seed=9)) is None
 
 
@@ -210,7 +224,7 @@ class TestConcurrentReaders:
     def test_reader_keeps_consistent_predelta_view(self):
         """A thread holding the pre-delta array is never broken mid-patch."""
         graph = make_graph()
-        encoder = make_encoder("gcn", "sparse")
+        encoder = make_encoder("gcn")
         engine = make_engine()
         old = engine.embeddings(encoder, graph)
         baseline = old.copy()

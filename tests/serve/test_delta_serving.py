@@ -8,6 +8,7 @@ cache over the affected receptive field, and atomically swaps the snapshot.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -214,6 +215,34 @@ class TestHTTPDelta:
         assert summary["new_num_nodes"] == new_node + 1
         assert client.predict(new_node)["node"] == new_node
         assert server.service.snapshot_builds == builds + 1
+
+    def test_timed_out_delta_is_not_sent_again(self, running_server, monkeypatch):
+        """A client timeout must not re-send ``POST /delta``: the server may
+        still be applying the first one."""
+        classifier, server, _ = running_server
+        graph = classifier.trainer_.dataset.graph
+        before = graph.num_nodes
+        build = PredictionService._build_snapshot
+
+        def slow_build(service):
+            time.sleep(1.0)
+            return build(service)
+
+        monkeypatch.setattr(PredictionService, "_build_snapshot", slow_build)
+        features = [0.25] * graph.features.shape[1]
+        with ServeClient(port=server.port, timeout=0.5) as impatient:
+            with pytest.raises(TimeoutError):
+                impatient.apply_delta(features=[features], edges=[[before], [0]])
+        with ServeClient(port=server.port) as patient:
+            deadline = time.monotonic() + 10
+            while patient.health()["num_nodes"] == before:
+                assert time.monotonic() < deadline, "the delta was never published"
+                time.sleep(0.05)
+            # Long enough for a re-sent delta to take the writer lock.
+            time.sleep(0.5)
+            assert server.service.deltas_applied == 1
+            assert graph.num_nodes == before + 1
+            assert patient.health()["num_nodes"] == before + 1
 
     def test_stats_expose_streaming_counters(self, running_server):
         classifier, _, client = running_server

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.api import OpenWorldClassifier
+from repro.obs import EVENTS
 from repro.serve import (
     ModelServer,
     PredictionService,
@@ -120,6 +121,43 @@ class TestHTTPEndpoints:
             client.predict(0)
         # About 2 ms each with TCP_NODELAY; about 42 ms each without it.
         assert time.perf_counter() - start < 0.4
+
+    def test_closed_keep_alive_connection_is_retried_once(self, running_server,
+                                                          monkeypatch):
+        """A request on a kept-alive connection the server has since closed
+        is sent once more on a new connection."""
+        _, client = running_server
+        # Idle connections now time out server-side after 0.1 s.
+        monkeypatch.setattr(_Handler, "timeout", 0.1)
+        expected = client.predict(0)
+        with ServeClient(port=client.port) as kept:
+            assert kept.predict(0) == expected
+            first = kept._conn
+            time.sleep(0.5)  # the server closes the idle connection
+            assert kept.predict(0) == expected
+            assert kept._conn is not first
+
+    def test_client_gone_before_reply_is_logged_not_raised(self):
+        """A reply to a client that hung up is an obs event, not a traceback."""
+
+        class HungUp:
+            def write(self, data):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        handler = _Handler.__new__(_Handler)
+        handler.wfile = HungUp()
+        handler.request_version = handler.protocol_version
+        handler.requestline = "POST /delta HTTP/1.1"
+        handler.command, handler.path = "POST", "/delta"
+        handler.client_address = ("127.0.0.1", 0)
+        handler.close_connection = False
+        before = EVENTS.counts()["warning"]
+        handler._reply(200, {"ok": True})
+        assert handler.close_connection
+        assert EVENTS.counts()["warning"] == before + 1
+        event = EVENTS.snapshot(level="warning", limit=1)[0]
+        assert (event["source"], event["path"], event["error"]) == (
+            "serve.http", "/delta", "BrokenPipeError")
 
     def test_concurrent_clients_get_identical_answers(self, running_server):
         server, client = running_server
