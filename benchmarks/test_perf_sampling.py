@@ -1,7 +1,8 @@
 """Full-graph vs neighborhood-sampled mini-batch training benchmark.
 
-``sampling.mode="full"`` runs two full-graph encoder forwards per batch, so
-one epoch costs O(num_batches x full forward).  ``"khop"`` extracts the exact
+``sampling.mode="full"`` runs the encoder twice per batch on the whole graph
+(its last layer only for the batch's nodes), so one epoch costs
+O(num_batches x full-graph first layer).  ``"khop"`` extracts the exact
 2-hop receptive field of each batch and runs the encoder there instead;
 ``"sampled"`` additionally caps the per-hop expansion.  This benchmark
 measures the per-step wall-clock of real ``GraphTrainer._train_step`` calls

@@ -17,12 +17,13 @@ method registry, and restores weights, optimizer state, RNG state, and
 method extras — so ``fit`` after ``load`` continues *identically* to an
 uninterrupted run, and ``predict`` is bitwise-identical to the saved model.
 A malformed checkpoint (unreadable or truncated file, missing or unknown
-manifest key, non-finite or misshapen array) raises :class:`CheckpointError`
-naming the file and the cause.
+manifest key, malformed manifest value, non-finite or misshapen array)
+raises :class:`CheckpointError` naming the file and the cause.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import zipfile
@@ -55,6 +56,17 @@ MANIFEST_KEYS = frozenset((
 
 class CheckpointError(RuntimeError):
     """Raised when a checkpoint is malformed or incompatible."""
+
+
+@contextlib.contextmanager
+def _manifest_value(path: Path, key: str):
+    """Re-raise the error a malformed manifest ``key`` value causes as
+    :class:`CheckpointError` naming the key."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path / MANIFEST_FILE}: malformed {key!r} value: {exc!r}") from exc
 
 
 def _method_key(trainer: GraphTrainer) -> str:
@@ -213,8 +225,10 @@ def load_trainer_checkpoint(
         dataset = _rebuild_dataset(manifest, path)
 
     method = manifest["method"]
-    spec = METHODS.get(method)
-    config = spec.config_cls.from_dict(manifest["config"])
+    with _manifest_value(path, "method"):
+        spec = METHODS.get(method)
+    with _manifest_value(path, "config"):
+        config = spec.config_cls.from_dict(manifest["config"])
     # Methods with a custom builder carry num_novel_classes inside their own
     # config; passing it again would mutate the config away from what was
     # saved.  The label-space check below still catches dataset drift.
@@ -227,9 +241,10 @@ def load_trainer_checkpoint(
         **manifest["method_kwargs"],
     )
 
-    saved_seen = [int(c) for c in manifest["label_space"]["seen_classes"]]
+    with _manifest_value(path, "label_space"):
+        saved_seen = [int(c) for c in manifest["label_space"]["seen_classes"]]
+        saved_novel = int(manifest["label_space"]["num_novel"])
     actual_seen = [int(c) for c in trainer.label_space.seen_classes]
-    saved_novel = int(manifest["label_space"]["num_novel"])
     if saved_seen != actual_seen or saved_novel != trainer.label_space.num_novel:
         raise CheckpointError(
             f"label-space mismatch: checkpoint (seen={saved_seen}, "
@@ -266,9 +281,12 @@ def load_trainer_checkpoint(
     trainer.load_extra_state(take("extra."))
     # After the weights are loaded, so the relative last-fit parameter
     # version anchors to the final counter.
-    trainer.load_clustering_state(manifest["clustering_state"], take("clustering."))
-    trainer.set_rng_state(manifest["rng_state"])
-    trainer.epochs_trained = int(manifest["epochs_trained"])
+    with _manifest_value(path, "clustering_state"):
+        trainer.load_clustering_state(manifest["clustering_state"], take("clustering."))
+    with _manifest_value(path, "rng_state"):
+        trainer.set_rng_state(manifest["rng_state"])
+    with _manifest_value(path, "epochs_trained"):
+        trainer.epochs_trained = int(manifest["epochs_trained"])
     history = manifest["history"]
     trainer.history = TrainingHistory(
         losses=[float("nan") if v is None else float(v)

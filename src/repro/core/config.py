@@ -101,11 +101,12 @@ class SamplingConfig(SerializableConfig):
     Attributes
     ----------
     mode:
-        ``"full"`` (default) runs the encoder on the whole graph every batch
-        and gathers the batch rows — O(num_batches x full forward) per
-        epoch.  ``"khop"`` extracts the exact ``num_hops``-hop receptive
-        field of each batch and runs the encoder on that subgraph only; with
-        dropout disabled it reproduces full-graph batch losses to 1e-8.
+        ``"full"`` (default) runs the encoder on the whole graph every batch,
+        its last layer for the batch's nodes only — O(num_batches x
+        full-graph first layer) per epoch.  ``"khop"`` extracts the exact
+        ``num_hops``-hop receptive field of each batch and runs the encoder
+        on that subgraph only; with dropout disabled it reproduces
+        full-graph batch losses to 1e-8.
         ``"sampled"`` additionally caps the expansion with per-hop
         ``fanouts`` (GraphSAGE-style), trading exactness for a bounded
         per-step cost on huge or scale-free graphs.

@@ -25,7 +25,7 @@ from typing import Dict
 
 from ..datasets.splits import OpenWorldDataset
 from ..nn import functional as F
-from ..nn.tensor import Tensor
+from ..nn.tensor import Tensor, no_grad
 from .config import OpenIMAConfig, TrainerConfig
 from .inference import InferenceResult
 from .losses import (
@@ -215,7 +215,10 @@ class OpenIMATrainer(GraphTrainer):
         similarity of the first view, excluding itself) and their head
         probability vectors are pulled together.
         """
-        similarities = F.pairwise_cosine_similarity(view1).numpy().copy()
+        # Only the argmax is read, so no autodiff graph is recorded for it
+        # (and the fresh array can be edited in place).
+        with no_grad():
+            similarities = F.pairwise_cosine_similarity(view1).numpy()
         np.fill_diagonal(similarities, -np.inf)
         nearest = similarities.argmax(axis=1)
         probabilities = F.softmax(self.head(view2), axis=-1)

@@ -292,24 +292,22 @@ class GraphTrainer:
         """Two stochastic encoder views of the batch rows.
 
         The two dropout-noised forward passes provide the positive pairs
-        (SimCSE / paper Section IV-C).  In ``"full"`` sampling mode both
-        passes cover the whole graph; in ``"khop"``/``"sampled"`` mode the
-        encoder runs on the batch's receptive-field subgraph and the batch
-        rows are gathered through the local node-id mapping.  Either way
+        (SimCSE / paper Section IV-C).  Each pass runs the encoder's last
+        layer for the batch's nodes only (``encoder(graph, targets=...)``),
+        since no loss reads the other rows.  In ``"full"`` sampling mode the
+        graph is the whole graph and the targets are ``batch_nodes``; in
+        ``"khop"``/``"sampled"`` mode it is the batch's receptive-field
+        subgraph and the targets are the batch's local ids.  Either way
         ``compute_loss`` receives rows aligned with the *global*
         ``batch_nodes`` ids, so subclass label/pseudo-label lookups are
         sampling-agnostic.
         """
         if self._sampler is None:
-            full_view1 = self.encoder(self.dataset.graph)
-            full_view2 = self.encoder(self.dataset.graph)
-            return (full_view1.gather_rows(batch_nodes),
-                    full_view2.gather_rows(batch_nodes))
-        batch = self._sampler.sample(batch_nodes)
-        sub_view1 = self.encoder(batch.graph)
-        sub_view2 = self.encoder(batch.graph)
-        return (sub_view1.gather_rows(batch.seed_local),
-                sub_view2.gather_rows(batch.seed_local))
+            graph, targets = self.dataset.graph, batch_nodes
+        else:
+            batch = self._sampler.sample(batch_nodes)
+            graph, targets = batch.graph, batch.seed_local
+        return self.encoder(graph, targets=targets), self.encoder(graph, targets=targets)
 
     # ------------------------------------------------------------------
     # Evaluation helpers

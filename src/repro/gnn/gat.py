@@ -31,9 +31,11 @@ checks outputs and gradients against a per-head masked N x N reference.
 
 The forward is two halves: :meth:`GATLayer.project` (per node) and
 :meth:`GATLayer.attend` (per edge, over any set of targets' incoming edges).
-Training composes them over the whole graph; layer-wise inference
-(:meth:`GATEncoder.layerwise_plan`) runs the per-edge half per chunk of
-targets, so both use one attention kernel.
+Training projects every node and attends over the whole graph in layer 1,
+but in the last layer only over the batch's incoming edges
+(``GATEncoder.forward(graph, targets)``): no loss reads the other rows.
+Layer-wise inference (:meth:`GATEncoder.layerwise_plan`) runs the per-edge
+half per chunk of targets, so all three use one attention kernel.
 """
 
 from __future__ import annotations
@@ -87,12 +89,25 @@ class GATLayer(Module):
         return self.out_features
 
     def forward(self, x: Tensor, edge_index: Union[np.ndarray, EdgeGroups],
-                num_nodes: int) -> Tensor:
-        """Attention over ``edge_index``: a ``(2, E)`` array or cached :class:`EdgeGroups`."""
+                num_nodes: int, targets: Optional[np.ndarray] = None) -> Tensor:
+        """Attention over ``edge_index``: a ``(2, E)`` array or cached :class:`EdgeGroups`.
+
+        Returns one row per node, or with ``targets`` one row per target in
+        ``targets`` order (a target must not repeat).  Every node is still
+        projected, since every edge source needs its projection, but only
+        the targets' incoming edges are attended over.  Outputs, gradients
+        and the random draws equal those of the all-node pass's
+        ``targets`` rows bit for bit.
+        """
         x = self.feat_dropout(x)
         edges = (edge_index if isinstance(edge_index, EdgeGroups)
                  else EdgeGroups.from_edge_index(edge_index, num_nodes))
-        return self.attend(*self.project(x), edges)
+        projected, score_src, score_dst = self.project(x)
+        if targets is None:
+            return self.attend(projected, score_src, score_dst, edges)
+        selection, rows = edges.select_targets(targets)
+        return self.attend(projected, score_src, score_dst.gather_rows(targets), selection,
+                           rows=rows, num_edges=len(edges))
 
     def project(self, x: Tensor) -> tuple:
         """Per-node half of the forward, vectorized over every head.
@@ -109,7 +124,8 @@ class GATLayer(Module):
         return projected, score_src, score_dst
 
     def attend(self, projected: Tensor, score_src: Tensor, score_dst: Tensor,
-               edges: EdgeGroups) -> Tensor:
+               edges: EdgeGroups, rows: Optional[np.ndarray] = None,
+               num_edges: Optional[int] = None) -> Tensor:
         """Per-edge half: attention over the incoming edges of a set of targets.
 
         ``score_dst`` holds one row per target and ``edges.dst`` indexes
@@ -119,10 +135,14 @@ class GATLayer(Module):
         row per target.  Two fused ops do the work: :func:`edge_softmax`
         turns the scores into attention coefficients, and, after attention
         dropout, :func:`edge_aggregate` sums the weighted source rows.
+        ``rows`` marks ``edges`` as rows ``rows`` of a ``num_edges``-edge
+        list: attention dropout then draws its noise for every edge of that
+        list and keeps the selected rows, so the generator advances as it
+        does in a pass over all of them.
         """
         num_targets = score_dst.shape[0]
         alpha = edge_softmax(score_src, score_dst, edges, self.negative_slope)  # (E, H)
-        alpha = self.att_dropout(alpha)
+        alpha = self.att_dropout(alpha, rows, num_edges)
         aggregated = edge_aggregate(projected, alpha, edges)  # (T, H, O)
 
         if self.concat_heads:
@@ -171,11 +191,17 @@ class GATEncoder(Module):
         #: (checked against ``sampling.num_hops`` by exact khop training).
         self.num_message_passing_layers = 2
 
-    def forward(self, graph: Graph) -> Tensor:
+    def forward(self, graph: Graph, targets: Optional[np.ndarray] = None) -> Tensor:
+        """Node representations: one row per node, or one per ``targets`` entry.
+
+        With ``targets`` the last layer runs for them only (see
+        :meth:`GATLayer.forward`); layer 1 still covers every node, since
+        the targets' in-neighbours need its rows.
+        """
         edges = graph.attention_edges()
         x = Tensor(graph.features)
         hidden = self.layer1(x, edges, graph.num_nodes).elu()
-        return self.layer2(hidden, edges, graph.num_nodes)
+        return self.layer2(hidden, edges, graph.num_nodes, targets=targets)
 
     def embed(self, graph: Graph) -> np.ndarray:
         """Inference-mode embeddings as a plain numpy array."""

@@ -13,7 +13,9 @@ cached per graph by :meth:`repro.graphs.graph.Graph.propagation`, and is
 applied with :func:`repro.nn.tensor.sparse_matmul`.  One forward+backward
 pass costs O(nnz * d) FLOPs and O(N * d + nnz) memory, where ``nnz`` is the
 number of edges incl. self loops and ``d`` the layer width.  For sparse
-graphs (nnz ~ N * avg_degree) this is linear in N.
+graphs (nnz ~ N * avg_degree) this is linear in N.  A training batch's
+forward (``GCNEncoder.forward(graph, targets)``) runs layer 2 on the
+batch's propagation rows only.
 ``tests/gnn/test_backend_parity.py`` checks forward outputs and gradients
 against a dense ``P @ (X W)`` reference to 1e-8.
 """
@@ -64,12 +66,26 @@ class GCNEncoder(Module):
         #: (checked against ``sampling.num_hops`` by exact khop training).
         self.num_message_passing_layers = 2
 
-    def forward(self, graph: Graph) -> Tensor:
+    def forward(self, graph: Graph, targets: Optional[np.ndarray] = None) -> Tensor:
+        """Node representations: one row per node, or one per ``targets`` entry.
+
+        With ``targets`` (which must not repeat) layer 2 multiplies only the
+        targets' propagation rows, taken in ascending order so that the
+        transposed product of the backward adds the same terms in the same
+        order as the all-node pass, then puts the rows in ``targets`` order.
+        Outputs and gradients equal the all-node pass's ``targets`` rows
+        bit for bit.
+        """
         propagation = graph.propagation()
         x = self.dropout(Tensor(graph.features))
         hidden = self.layer1(x, propagation).relu()
         hidden = self.dropout(hidden)
-        return self.layer2(hidden, propagation)
+        if targets is None:
+            return self.layer2(hidden, propagation)
+        rows = np.unique(targets)
+        if rows.shape[0] != len(targets):
+            raise ValueError("targets must not repeat")
+        return self.layer2(hidden, propagation[rows]).gather_rows(np.searchsorted(rows, targets))
 
     def embed(self, graph: Graph) -> np.ndarray:
         """Inference-mode embeddings as a plain numpy array."""

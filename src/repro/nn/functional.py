@@ -92,14 +92,24 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     return x / norm
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout: zero entries with probability ``rate`` while training."""
+def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Generator] = None,
+            rows: Optional[np.ndarray] = None, num_rows: Optional[int] = None) -> Tensor:
+    """Inverted dropout: zero entries with probability ``rate`` while training.
+
+    With ``rows``, ``x`` holds rows ``rows`` of a ``num_rows``-row input:
+    the noise is drawn for all ``num_rows`` rows, exactly as dropout of that
+    whole input draws it, and rows ``rows`` of the mask apply.
+    """
     if not training or rate <= 0.0:
         return x
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
     rng = rng if rng is not None else np.random.default_rng()
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    if rows is None:
+        noise = rng.random(x.shape)
+    else:
+        noise = rng.random((num_rows, *x.shape[1:]))[rows]
+    mask = (noise >= rate) / (1.0 - rate)
     return x * Tensor(mask)
 
 

@@ -219,8 +219,12 @@ class Dropout(Module):
         self.rate = rate
         self.rng = rng if rng is not None else np.random.default_rng()
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, training=self.training, rng=self.rng)
+    def forward(self, x: Tensor, rows: Optional[np.ndarray] = None,
+                num_rows: Optional[int] = None) -> Tensor:
+        """Dropout of ``x``, or of rows ``rows`` of a ``num_rows``-row input
+        (see :func:`repro.nn.functional.dropout`)."""
+        return F.dropout(x, self.rate, training=self.training, rng=self.rng,
+                         rows=rows, num_rows=num_rows)
 
 
 class Sequential(Module):

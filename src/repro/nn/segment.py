@@ -21,6 +21,10 @@ per-edge message row.  They equal the product-then-scatter composition bit
 for bit where scipy's CSR kernel rounds each product before adding it (no
 fused multiply-add), as its x86-64 builds do.  The by-source order is
 sorted only when a gradient first needs it, so inference never pays for it.
+Two methods take the incoming edges of some targets:
+:meth:`EdgeGroups.slice_targets` (a contiguous range, grouped by target, for
+layer-wise inference) and :meth:`EdgeGroups.select_targets` (any targets, in
+edge order, for a training batch).
 """
 
 from __future__ import annotations
@@ -166,6 +170,28 @@ class EdgeGroups:
         by_target = Segments(dst, stop - start, order=np.arange(hi - lo),
                              indptr=indptr[start:stop + 1] - lo)
         return EdgeGroups(self.src[rows], dst, self.num_sources, stop - start, by_target)
+
+    def select_targets(self, targets: np.ndarray) -> tuple:
+        """The incoming edges of ``targets``, with ``targets[i]`` renumbered ``i``.
+
+        Returns the selection and the selected edges' indices into this edge
+        list.  Unlike :meth:`slice_targets`, the edges keep their original
+        order, so every by-target and by-source sum over the selection adds
+        the same terms in the same order as the sum over all edges does; the
+        terms the selection leaves out are those of the other targets.
+        Raises ``ValueError`` if a target repeats.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        positions = np.arange(targets.shape[0])
+        local = np.full(self.num_targets, -1, dtype=np.int64)
+        local[targets] = positions
+        if not np.array_equal(local[targets], positions):
+            raise ValueError("targets must not repeat")
+        dst = local[self.dst]
+        rows = np.flatnonzero(dst >= 0)
+        selection = EdgeGroups(self.src[rows], dst[rows], self.num_sources,
+                               targets.shape[0])
+        return selection, rows
 
 
 class _Pattern(NamedTuple):

@@ -30,7 +30,8 @@ into :data:`repro.obs.EVENTS` at debug level so 4xx/5xx responses are
 diagnosable after the fact.
 
 Shutdown is graceful: SIGINT/SIGTERM (or :meth:`ModelServer.shutdown`)
-stops accepting connections, drains the coalescer, and unblocks
+stops accepting connections, lets in-flight replies finish, closes every
+open keep-alive connection, drains the coalescer, and unblocks
 :meth:`serve_forever`.
 """
 
@@ -39,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import json
 import signal
+import socket
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -260,6 +262,54 @@ class _Handler(BaseHTTPRequestHandler):
         self._reply(200, payload)
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that can end its open connections.
+
+    Handler threads are daemons, and a keep-alive connection keeps its
+    thread for as long as the client holds it open, so a stopped server
+    would otherwise go on answering on idle connections.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address: tuple, handler: type):
+        super().__init__(address, handler)
+        self._open_lock = threading.Lock()
+        #: Open connection -> the thread handling it.
+        self._open: dict = {}
+
+    def process_request(self, request, client_address) -> None:
+        # Registered here, on the accept loop, so a connection accepted
+        # before the loop stopped is closed even if its thread has not
+        # started yet.
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.pop(request, None)
+        super().shutdown_request(request)
+
+    def close_connections(self, timeout_s: float) -> None:
+        """Close every open connection for reading, then join its thread.
+
+        A handler waiting for the next request reads end-of-stream and
+        returns; one still answering finishes its reply first, since
+        writing stays open.  The joins share one ``timeout_s`` bound.
+        """
+        with self._open_lock:
+            connections = list(self._open.items())
+        for request, _ in connections:
+            with contextlib.suppress(OSError):  # closed by its handler meanwhile
+                request.shutdown(socket.SHUT_RD)
+        deadline = _monotonic() + timeout_s
+        for _, thread in connections:
+            thread.join(max(0.0, deadline - _monotonic()))
+
+
 class ModelServer:
     """Persistent prediction server over a checkpointed classifier.
 
@@ -268,6 +318,9 @@ class ModelServer:
     :meth:`start` with ``config.warm``) every request is answered without
     an encoder pass until the model or graph version changes.
     """
+
+    #: Seconds a shutdown waits for open connections' handlers to finish.
+    SHUTDOWN_TIMEOUT_S = 5.0
 
     def __init__(self, service: PredictionService,
                  config: Optional[ServeConfig] = None):
@@ -279,9 +332,10 @@ class ModelServer:
             batch_window_ms=self.config.batch_window_ms,
             max_batch=self.config.max_batch,
         )
-        self._httpd: Optional[ThreadingHTTPServer] = None
+        self._httpd: Optional[_HTTPServer] = None
         self._serving = threading.Event()
         self._shutdown_started = threading.Event()
+        self._stopped = threading.Event()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -292,9 +346,7 @@ class ModelServer:
             return self
         if self.config.warm:
             self.service.warm()
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((self.config.host, self.config.port), _Handler)
         self._httpd.model_server = self  # type: ignore[attr-defined]
         self.coalescer.start()
         self._serving.set()
@@ -344,19 +396,30 @@ class ModelServer:
         signal.signal(signal.SIGTERM, handler)
 
     def shutdown(self) -> None:
-        """Stop accepting requests, drain in-flight batches, release the port."""
+        """Stop accepting requests, finish in-flight replies, close every
+        connection and release the port.
+
+        Returns once :meth:`serve_forever` has done so, or after
+        :attr:`SHUTDOWN_TIMEOUT_S` if a handler is still busy.
+        """
         if self._shutdown_started.is_set():
             return
         self._shutdown_started.set()
-        if self._httpd is not None:
-            self._httpd.shutdown()
+        httpd = self._httpd
+        if httpd is not None:
+            httpd.shutdown()
+            self._stopped.wait(self.SHUTDOWN_TIMEOUT_S)
 
     def _finalize(self) -> None:
         self._serving.clear()
+        if self._httpd is not None:
+            # Before the coalescer stops, so in-flight queries still answer.
+            self._httpd.close_connections(self.SHUTDOWN_TIMEOUT_S)
         self.coalescer.stop()
         if self._httpd is not None:
             self._httpd.server_close()
             self._httpd = None
+        self._stopped.set()
 
     # ------------------------------------------------------------------
     # Request surface (used by the HTTP handler and direct callers)

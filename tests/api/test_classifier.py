@@ -165,6 +165,19 @@ class TestSaveLoadRoundTrip:
         with pytest.raises(CheckpointError, match="weights.npz: array 'encoder.* is not finite"):
             OpenWorldClassifier.load(tmp_path / "ckpt")
 
+    @pytest.mark.parametrize("key, value", [
+        ("rng_state", {}),
+        ("label_space", {}),
+        ("clustering_state", []),
+        ("epochs_trained", "x"),
+        ("method", "no-such-method"),
+        ("config", []),
+    ])
+    def test_malformed_manifest_value_rejected(self, tmp_path, key, value):
+        edit_manifest(saved_checkpoint(tmp_path), lambda manifest: manifest.update({key: value}))
+        with pytest.raises(CheckpointError, match=f"manifest.json: malformed '{key}' value"):
+            OpenWorldClassifier.load(tmp_path / "ckpt")
+
     def test_missing_checkpoint_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="manifest"):
             OpenWorldClassifier.load(tmp_path / "nothing-here")

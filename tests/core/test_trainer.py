@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.baselines.two_stage import InfoNCETrainer
-from repro.core.config import EncoderConfig, OptimizerConfig, TrainerConfig, fast_config
+from repro.core.config import (
+    EncoderConfig,
+    OpenIMAConfig,
+    OptimizerConfig,
+    SamplingConfig,
+    TrainerConfig,
+    fast_config,
+)
 from repro.core.inference import head_predict, two_stage_predict
+from repro.core.openima import OpenIMATrainer
 from repro.core.trainer import GraphTrainer, TrainingHistory
 
 
@@ -181,3 +190,38 @@ class TestGraphTrainer:
         history_a = trainer_a.fit()
         history_b = trainer_b.fit()
         np.testing.assert_allclose(history_a.losses, history_b.losses)
+
+
+class _GatheredFullForwardTrainer(OpenIMATrainer):
+    """OpenIMA whose batch views run the encoder on every node, then gather."""
+
+    def _batch_views(self, batch_nodes):
+        if self._sampler is None:
+            full_view1 = self.encoder(self.dataset.graph)
+            full_view2 = self.encoder(self.dataset.graph)
+            return (full_view1.gather_rows(batch_nodes),
+                    full_view2.gather_rows(batch_nodes))
+        batch = self._sampler.sample(batch_nodes)
+        sub_view1 = self.encoder(batch.graph)
+        sub_view2 = self.encoder(batch.graph)
+        return (sub_view1.gather_rows(batch.seed_local),
+                sub_view2.gather_rows(batch.seed_local))
+
+
+@pytest.mark.parametrize("mode", ["full", "khop"])
+@pytest.mark.parametrize("encoder", ["gcn", "gat"])
+def test_batch_views_train_as_gathered_full_forward(small_dataset, encoder, mode):
+    """Running the last layer for the batch only trains bitwise-identical weights."""
+
+    def trained(trainer_cls):
+        config = OpenIMAConfig(trainer=fast_config(
+            max_epochs=2, seed=0, encoder_kind=encoder, batch_size=64,
+            sampling=SamplingConfig(mode=mode)))
+        trainer = trainer_cls(small_dataset, config)
+        trainer.fit()
+        digest = hashlib.sha256()
+        for param in trainer.encoder.parameters() + trainer.head.parameters():
+            digest.update(param.data.tobytes())
+        return digest.hexdigest(), trainer.history.losses, trainer.rng_state()
+
+    assert trained(OpenIMATrainer) == trained(_GatheredFullForwardTrainer)

@@ -39,6 +39,22 @@ def random_graph(num_nodes=40, num_features=7, avg_degree=4.0, seed=0):
     return Graph(features=rng.normal(size=(num_nodes, num_features)), edge_index=edge_index)
 
 
+def multigraph(seed=0):
+    """``random_graph`` plus duplicated directed edges and explicit self loops, shuffled."""
+    graph = random_graph(seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    duplicates = graph.edge_index[:, rng.integers(graph.num_edges, size=30)]
+    loops = np.tile(rng.integers(graph.num_nodes, size=8), (2, 1))
+    edges = np.hstack([graph.edge_index, duplicates, loops])
+    return Graph(features=graph.features, edge_index=edges[:, rng.permutation(edges.shape[1])])
+
+
+#: Four nodes and three edges; node 3 has no incoming edge.
+SINK_ONLY_EDGES = np.array([[3, 1, 2], [0, 0, 1]])
+#: Edge 2->0 listed twice; self loops keep every row reachable.
+DUPLICATE_EDGES = np.array([[0, 1, 2, 3, 2, 2, 1], [0, 1, 2, 3, 0, 0, 3]])
+
+
 def reference_gcn(encoder, graph):
     """Two GCN layers with the densified propagation matrix (eval mode)."""
     propagation = Tensor(graph.propagation().toarray())
@@ -140,11 +156,10 @@ def test_gat_layer_parity_with_sink_only_node():
     reference must not emit NaN for the unreached node.
     """
     features = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
-    edge_index = np.array([[3, 1, 2], [0, 0, 1]])  # node 3 has no incoming edge
     layer = GATLayer(5, 3, num_heads=2, dropout=0.0, rng=np.random.default_rng(1))
 
-    out = assert_parity(layer, lambda: layer(features, edge_index, 4),
-                        lambda: reference_gat_layer(layer, features, *edge_index, 4))
+    out = assert_parity(layer, lambda: layer(features, SINK_ONLY_EDGES, 4),
+                        lambda: reference_gat_layer(layer, features, *SINK_ONLY_EDGES, 4))
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out[3], 0.0, atol=ATOL)
     for param in layer.parameters():
@@ -154,12 +169,19 @@ def test_gat_layer_parity_with_sink_only_node():
 def test_gat_layer_parity_with_duplicate_directed_edges():
     """A duplicated edge carries double attention mass on both paths."""
     features = Tensor(np.random.default_rng(3).normal(size=(4, 5)))
-    # Edge 2->0 listed twice; self loops keep every row reachable.
-    edge_index = np.array([[0, 1, 2, 3, 2, 2, 1], [0, 1, 2, 3, 0, 0, 3]])
     layer = GATLayer(5, 3, num_heads=2, dropout=0.0, rng=np.random.default_rng(4))
 
-    assert_parity(layer, lambda: layer(features, edge_index, 4),
-                  lambda: reference_gat_layer(layer, features, *edge_index, 4))
+    assert_parity(layer, lambda: layer(features, DUPLICATE_EDGES, 4),
+                  lambda: reference_gat_layer(layer, features, *DUPLICATE_EDGES, 4))
+
+
+@pytest.mark.parametrize("kind", ["gcn", "gat"])
+def test_multigraph_forward_and_gradient_parity(kind):
+    graph = multigraph()
+    encoder = build_encoder(kind, in_features=graph.num_features, hidden_dim=8, out_dim=6,
+                            num_heads=2, dropout=0.0, rng=np.random.default_rng(5))
+    reference = reference_gcn if kind == "gcn" else reference_gat
+    assert_parity(encoder, lambda: encoder(graph), lambda: reference(encoder, graph))
 
 
 def test_gcn_propagation_cache_keyed_by_graph_identity():

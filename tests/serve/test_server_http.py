@@ -201,6 +201,32 @@ class TestLifecycle:
         relisten.shutdown()
         relisten_thread.join(timeout=10)
 
+    def test_shutdown_closes_idle_keep_alive_connections(self, served_classifier):
+        """A stopped server neither answers on nor keeps a thread for an
+        idle keep-alive connection."""
+        before = set(threading.enumerate())
+
+        def handler_threads():
+            return [t for t in set(threading.enumerate()) - before
+                    if "process_request_thread" in t.name and t.is_alive()]
+
+        server = ModelServer(PredictionService(served_classifier),
+                             ServeConfig(port=0, batch_window_ms=0.0))
+        thread = server.serve_in_background()
+        client = ServeClient(port=server.port, timeout=5)
+        client.wait_until_ready(timeout=10)  # keeps its connection open
+        assert handler_threads()
+        server.shutdown()
+        with pytest.raises(ConnectionError):
+            client.predict(0)
+        client.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        deadline = time.monotonic() + 2.0
+        while handler_threads() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not handler_threads()
+
     def test_shutdown_is_idempotent(self, served_classifier):
         server = ModelServer(PredictionService(served_classifier),
                              ServeConfig(port=0))
