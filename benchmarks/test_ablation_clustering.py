@@ -20,9 +20,9 @@ from conftest import BENCH_EXPERIMENT_SMALL, save_report
 from repro.assignment.alignment import align_clusters_to_classes
 from repro.clustering.semi_kmeans import SemiSupervisedKMeans
 from repro.core.labels import LabelSpace
+from repro.core.registry import build_method
 from repro.datasets.synthetic import load_open_world_dataset
 from repro.experiments.reporting import format_table, percent
-from repro.experiments.runner import build_method
 from repro.metrics.accuracy import open_world_accuracy
 
 

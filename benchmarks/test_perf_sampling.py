@@ -5,9 +5,10 @@
 O(num_batches x full-graph first layer).  ``"khop"`` extracts the exact
 2-hop receptive field of each batch and runs the encoder there instead;
 ``"sampled"`` additionally caps the per-hop expansion.  This benchmark
-measures the per-step wall-clock of real ``GraphTrainer._train_step`` calls
-(identical batch schedules across modes, same random graph: avg degree 8,
-32 features) at 10k and 50k nodes and reports the epoch-time speedup —
+measures the median per-step wall-clock of ``TIMED_STEPS`` warm
+``GraphTrainer._train_step`` calls (identical batch schedules across modes,
+same random graph: avg degree 8, 32 features) at 10k and 50k nodes and
+reports the epoch-time speedup —
 per-epoch batch counts are identical across modes, so the per-step ratio IS
 the epoch-time ratio.
 
@@ -32,7 +33,9 @@ from repro.graphs.utils import symmetrize_edges
 AVG_DEGREE = 8
 NUM_FEATURES = 32
 BATCH_SIZE = 64
-TIMED_STEPS = 5
+#: Warm steps timed per mode; the gates read their median, so a few slow
+#: steps (scheduler noise on a shared box) cannot decide a ratio.
+TIMED_STEPS = 15
 
 _datasets: dict = {}
 _measurements: dict = {}
@@ -59,7 +62,7 @@ def synthetic_dataset(num_nodes: int, seed: int = 0) -> OpenWorldDataset:
 
 
 def measure(num_nodes: int, mode: str) -> dict:
-    """Mean per-step time over ``TIMED_STEPS`` warm `_train_step` calls."""
+    """Median per-step time over ``TIMED_STEPS`` warm `_train_step` calls."""
     key = (num_nodes, mode)
     if key in _measurements:
         return _measurements[key]
@@ -79,7 +82,7 @@ def measure(num_nodes: int, mode: str) -> dict:
         trainer._train_step(batch)
         times.append(time.perf_counter() - start)
 
-    step_time = float(np.mean(times))
+    step_time = float(np.median(times))
     result = {"step": step_time, "epoch": step_time * num_batches,
               "num_batches": num_batches}
     _measurements[key] = result

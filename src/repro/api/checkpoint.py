@@ -40,8 +40,12 @@ from ..datasets.synthetic import load_open_world_dataset
 #: Bump when the on-disk layout changes incompatibly; loading accepts only
 #: this version.  Version 2 dropped the ``trainer.parallel`` config section;
 #: version 3 dropped ``trainer.encoder.backend``,
-#: ``trainer.mini_batch_kmeans`` and ``trainer.kmeans_batch_size``.
-CHECKPOINT_FORMAT_VERSION = 3
+#: ``trainer.mini_batch_kmeans`` and ``trainer.kmeans_batch_size``; version 4
+#: dropped ``trainer.clustering.{warm_start, refresh_tolerance, seed}``,
+#: ``trainer.inference.{cache, partial_refresh}``, ``trainer.sampling.seed``,
+#: the ``"sampling"`` entry of ``rng_state`` and the ``refit_count`` and
+#: ``version_behind`` entries of ``clustering_state``.
+CHECKPOINT_FORMAT_VERSION = 4
 
 MANIFEST_FILE = "manifest.json"
 WEIGHTS_FILE = "weights.npz"
@@ -115,7 +119,7 @@ def save_trainer_checkpoint(trainer: GraphTrainer, path) -> Path:
             optimizer_meta[name] = int(value)
     for name, value in trainer.extra_state().items():
         arrays[f"extra.{name}"] = np.asarray(value)
-    clustering_meta, clustering_arrays = trainer.clustering_state()
+    clustering_meta, clustering_arrays = trainer.clustering_engine.state_dict()
     for name, value in clustering_arrays.items():
         arrays[f"clustering.{name}"] = np.asarray(value)
     np.savez(path / WEIGHTS_FILE, **arrays)
@@ -136,9 +140,8 @@ def save_trainer_checkpoint(trainer: GraphTrainer, path) -> Path:
         "epochs_trained": int(trainer.epochs_trained),
         "optimizer": optimizer_meta,
         "rng_state": trainer.rng_state(),
-        # Clustering-engine state (warm-start centroids live in weights.npz
-        # under clustering.*): RNG, refresh counters, and the last-fit
-        # parameter version relative to the encoder's current counter.
+        # Clustering-engine RNG and counters; the online strategy's carried
+        # centroids and counts live in weights.npz under clustering.*.
         "clustering_state": clustering_meta,
         "history": {
             # Non-finite losses (diverged runs) become null so the manifest
@@ -279,10 +282,9 @@ def load_trainer_checkpoint(
         trainer.optimizer.load_state_dict(optimizer_state)
 
     trainer.load_extra_state(take("extra."))
-    # After the weights are loaded, so the relative last-fit parameter
-    # version anchors to the final counter.
     with _manifest_value(path, "clustering_state"):
-        trainer.load_clustering_state(manifest["clustering_state"], take("clustering."))
+        trainer.clustering_engine.load_state_dict(manifest["clustering_state"],
+                                                  take("clustering."))
     with _manifest_value(path, "rng_state"):
         trainer.set_rng_state(manifest["rng_state"])
     with _manifest_value(path, "epochs_trained"):

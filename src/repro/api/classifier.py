@@ -208,7 +208,7 @@ class OpenWorldClassifier:
 
         Accepts a :class:`~repro.core.config.ClusteringConfig` or a plain
         dict (strict keys), e.g. ``{"strategy": "minibatch", "sample_size":
-        4096}``.  Rebuilding the engine drops any warm-start state; the new
+        4096}``.  Rebuilding the engine drops any carried state; the new
         section is recorded in the config, so subsequent :meth:`save` calls
         persist it.
         """
@@ -221,7 +221,7 @@ class OpenWorldClassifier:
 
     @property
     def clustering_engine(self) -> ClusteringEngine:
-        """The fitted trainer's clustering engine (refresh/refit counters)."""
+        """The fitted trainer's clustering engine (refresh counters)."""
         return self._require_fitted().clustering_engine
 
     def as_service(self):

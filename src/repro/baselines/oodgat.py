@@ -83,7 +83,7 @@ class OODGATTrainer(GraphTrainer):
 
         logits = embeddings @ self.head.linear.weight.data
         seen_logits = logits[:, : self.label_space.num_seen]
-        probabilities = _softmax_np(seen_logits)
+        probabilities = F.row_softmax(seen_logits)
         entropy = -(probabilities * np.log(probabilities + 1e-12)).sum(axis=1)
 
         # Nodes above the entropy quantile (computed on unlabeled nodes) are OOD.
@@ -101,9 +101,3 @@ class OODGATTrainer(GraphTrainer):
             internal[ood_nodes] = self.label_space.num_seen + clusters
         predictions = self.label_space.to_original(internal)
         return self.with_clusters(predictions, embeddings, num_novel, seed)
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)

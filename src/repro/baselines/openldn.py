@@ -21,6 +21,7 @@ from ..core.inference import InferenceResult
 from ..core.losses import (
     confidence_pseudo_label_loss,
     cross_entropy_loss,
+    nearest_neighbors,
     pairwise_similarity_loss,
 )
 from ..core.registry import register_method
@@ -60,10 +61,8 @@ class OpenLDNTrainer(GraphTrainer):
         probabilities = F.softmax(logits1, axis=-1)
 
         # Pairwise similarity objective on the batch.
-        similarities = F.pairwise_cosine_similarity(view1).numpy().copy()
-        np.fill_diagonal(similarities, -np.inf)
-        nearest = similarities.argmax(axis=1)
-        loss = pairwise_similarity_loss(probabilities, nearest) * self.pairwise_weight
+        loss = (pairwise_similarity_loss(probabilities, nearest_neighbors(view1))
+                * self.pairwise_weight)
 
         if labeled_positions.shape[0] > 0:
             loss = loss + cross_entropy_loss(

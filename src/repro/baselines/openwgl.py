@@ -80,7 +80,7 @@ class OpenWGLTrainer(GraphTrainer):
                 embeddings = self.encoder(self.dataset.graph).numpy()
                 logits = embeddings @ self.head.linear.weight.data
                 seen = logits[:, : self.label_space.num_seen]
-                probabilities = _softmax_np(seen)
+                probabilities = F.row_softmax(seen)
                 confidence = probabilities.max(axis=1)
                 accumulated = confidence if accumulated is None else accumulated + confidence
         return accumulated / num_samples
@@ -111,9 +111,3 @@ class OpenWGLTrainer(GraphTrainer):
             internal[ood_nodes] = self.label_space.num_seen + clusters
         predictions = self.label_space.to_original(internal)
         return self.with_clusters(predictions, embeddings, num_novel, seed)
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)

@@ -27,6 +27,7 @@ from ..core.inference import InferenceResult
 from ..core.losses import (
     entropy_regularization,
     margin_cross_entropy_loss,
+    nearest_neighbors,
     pairwise_similarity_loss,
 )
 from ..core.registry import register_method
@@ -66,7 +67,7 @@ class ORCATrainer(GraphTrainer):
             return
         logits = self.head_logits()
         test_nodes = self.dataset.split.test_nodes
-        probs = _softmax_np(logits[test_nodes])
+        probs = F.row_softmax(logits[test_nodes])
         # Uncertainty = 1 - mean max probability over unlabeled nodes.
         self._current_uncertainty = float(1.0 - probs.max(axis=1).mean())
 
@@ -79,10 +80,8 @@ class ORCATrainer(GraphTrainer):
 
         # Pairwise objective on every batch node (pseudo-positive = nearest
         # neighbour by embedding cosine similarity).
-        similarities = F.pairwise_cosine_similarity(view1).numpy().copy()
-        np.fill_diagonal(similarities, -np.inf)
-        nearest = similarities.argmax(axis=1)
-        loss = pairwise_similarity_loss(probabilities, nearest) * self.pairwise_weight
+        loss = (pairwise_similarity_loss(probabilities, nearest_neighbors(view1))
+                * self.pairwise_weight)
 
         if labeled_positions.shape[0] > 0:
             margin = self.margin_scale * self._current_uncertainty if self.use_margin else 0.0
@@ -113,9 +112,3 @@ class ORCAZMTrainer(ORCATrainer):
 
     method_name = "ORCA-ZM"
     use_margin = False
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)

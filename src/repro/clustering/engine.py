@@ -1,4 +1,4 @@
-"""Pluggable clustering engine: strategy-based refresh with versioned state.
+"""Pluggable clustering engine: strategy-based refresh with carried state.
 
 Every pseudo-label refresh and two-stage prediction used to call the Lloyd
 K-Means path directly — an O(n * k * d * iters) scan over all N embeddings
@@ -9,7 +9,7 @@ interface:
 
 ``exact``
     Full Lloyd :class:`~repro.clustering.kmeans.KMeans` with k-means++
-    restarts at the resolved seed.  :meth:`ClusteringEngine.cluster` can
+    restarts at the trainer's seed.  :meth:`ClusteringEngine.cluster` can
     swap in Sculley MiniBatch-KMeans per call (``mini_batch=True``), as
     OpenIMA's large-scale prediction does.
 
@@ -29,19 +29,15 @@ interface:
 The engine has two entry points with different statefulness contracts:
 
 * :meth:`refresh` — the *training-loop* path (pseudo-label refresh).  It is
-  stateful: warm-started centroids are carried between calls, the persistent
-  RNG advances, and a ``refresh_tolerance`` short-circuit keyed on
-  ``Module.parameter_version()`` downgrades a refresh to a reassign-only
-  pass when the encoder has barely moved since the last fit.
+  stateful: the persistent RNG advances, and the ``online`` strategy
+  carries its centroids and counts between calls.
 * :meth:`cluster` — the *inference* path (two-stage prediction, baseline
   OOD post-clustering).  It is stateless and deterministic in its ``seed``
-  argument: calling it never reads or mutates the warm-start state, so
+  argument: calling it never reads or mutates the carried state, so
   mid-training evaluation callbacks cannot perturb the training trajectory.
 
 :meth:`state_dict` / :meth:`load_state_dict` round-trip the carried state
-(centroids, online counts, RNG, and the last-fit parameter version stored
-*relative* to the current one, so resumed checkpoints keep the tolerance
-short-circuit exact even though version counters restart on load).
+(centroids, online counts, RNG and counters).
 """
 
 from __future__ import annotations
@@ -70,8 +66,7 @@ _REFRESH_SECONDS = REGISTRY.histogram(
     labelnames=("strategy",))
 _REFRESHES = REGISTRY.counter(
     "repro_cluster_refreshes_total",
-    "Clustering refreshes, by kind (refit vs reassign-only short-circuit).",
-    labelnames=("kind",))
+    "Clustering refreshes run by the training loop and the stream.")
 _ITERATIONS = REGISTRY.histogram(
     "repro_cluster_iterations",
     "Lloyd/Sculley iterations run by one refresh's fit.",
@@ -101,12 +96,6 @@ class ClusteringOutcome:
         The clustering itself (labels, centers, inertia).
     strategy:
         The configured strategy that produced it.
-    refitted:
-        ``False`` when the ``refresh_tolerance`` short-circuit fired and the
-        refresh only reassigned points to the carried centroids.
-    version_delta:
-        Parameter-version drift since the engine's last full fit (``None``
-        when no version was supplied or no fit has happened yet).
     births:
         Ids of clusters born during this refresh (``config.birth_threshold``;
         empty for every non-birthing refresh).
@@ -114,8 +103,6 @@ class ClusteringOutcome:
 
     result: KMeansResult
     strategy: str
-    refitted: bool
-    version_delta: Optional[int] = None
     births: Tuple[int, ...] = ()
 
 
@@ -127,7 +114,8 @@ class ClusteringEngine:
     config:
         The strategy configuration; ``None`` uses the defaults (``exact``).
     seed:
-        Trainer seed, used when ``config.seed`` is ``None``.
+        The trainer's seed: it seeds the persistent RNG and is the default
+        seed of :meth:`cluster`.
     """
 
     def __init__(self, config: Optional["ClusteringConfig"] = None, *,
@@ -139,17 +127,15 @@ class ClusteringEngine:
 
             config = ClusteringConfig()
         self.config = config
-        self.base_seed = int(seed if config.seed is None else config.seed)
+        self.base_seed = int(seed)
         #: Persistent RNG driving the stateful refresh path (minibatch
         #: sampling, online streaming); checkpointed via state_dict.
         self.rng = np.random.default_rng(self.base_seed)
         self._centers: Optional[np.ndarray] = None
         self._counts: Optional[np.ndarray] = None
         self._num_clusters: Optional[int] = None
-        self._last_fit_version: Optional[int] = None
-        #: Total refresh() calls / refresh() calls that ran a full fit.
+        #: Total refresh() calls.
         self.refresh_count = 0
-        self.refit_count = 0
         #: Clusters born via the silhouette trigger (birth_threshold).
         self.birth_count = 0
 
@@ -158,15 +144,15 @@ class ClusteringEngine:
     # ------------------------------------------------------------------
     @property
     def carries_state(self) -> bool:
-        """Whether refreshes carry centroids forward (warm start / online)."""
-        return bool(self.config.warm_start) or self.config.strategy == "online"
+        """Whether refreshes carry centroids forward (the ``online`` strategy)."""
+        return self.config.strategy == "online"
 
     @property
     def centers(self) -> Optional[np.ndarray]:  # returns-frozen
         """The carried centroids (read-only view), or ``None``.
 
         The view is non-writeable so a caller cannot silently corrupt the
-        warm-start state; copy before mutating.
+        carried state; copy before mutating.
         """
         if self._centers is None:
             return None
@@ -178,14 +164,8 @@ class ClusteringEngine:
     # Stateful refresh (training loop)
     # ------------------------------------------------------------------
     def refresh(self, embeddings: np.ndarray, num_clusters: int,
-                parameter_version: Optional[int] = None,
                 allow_birth: bool = False) -> ClusteringOutcome:
         """Cluster ``embeddings`` for a pseudo-label refresh.
-
-        ``parameter_version`` is the encoder's
-        :meth:`~repro.nn.layers.Module.parameter_version` counter; together
-        with ``config.refresh_tolerance`` it decides whether a carried
-        clustering is still fresh enough to skip the re-fit.
 
         ``allow_birth`` opts this call into the streaming cluster-birth
         check (``config.birth_threshold``) and makes ``num_clusters`` a
@@ -196,16 +176,14 @@ class ClusteringEngine:
         strategy = self.config.strategy
         with _REFRESH_SECONDS.time(strategy=strategy), \
                 span("cluster.refresh", strategy=strategy):
-            outcome = self._refresh_inner(embeddings, num_clusters,
-                                          parameter_version, allow_birth)
-        _REFRESHES.inc(kind="refit" if outcome.refitted else "reassign")
+            outcome = self._refresh_inner(embeddings, num_clusters, allow_birth)
+        _REFRESHES.inc()
         _ITERATIONS.observe(outcome.result.n_iter)
         if outcome.births:
             _BIRTHS.inc(len(outcome.births))
         return outcome
 
     def _refresh_inner(self, embeddings: np.ndarray, num_clusters: int,
-                       parameter_version: Optional[int],
                        allow_birth: bool) -> ClusteringOutcome:
         data = np.asarray(embeddings, dtype=np.float64)
         num_clusters = int(num_clusters)
@@ -222,18 +200,6 @@ class ClusteringEngine:
             and self._num_clusters == num_clusters
             and self._centers.shape[1] == data.shape[1]
         )
-        version_delta: Optional[int] = None
-        if parameter_version is not None and self._last_fit_version is not None:
-            version_delta = int(parameter_version) - self._last_fit_version
-
-        if (state_valid and self.config.refresh_tolerance > 0
-                and version_delta is not None
-                and 0 <= version_delta <= self.config.refresh_tolerance):
-            result = self._reassign(data, self._centers)
-            self.refresh_count += 1
-            return ClusteringOutcome(result, self.config.strategy,
-                                     refitted=False, version_delta=version_delta)
-
         initial = self._centers if state_valid else None
         counts = self._counts if state_valid else None
         result, counts = self._fit(data, num_clusters, initial_centers=initial,
@@ -245,13 +211,8 @@ class ClusteringEngine:
             self._centers = result.centers.copy()
             self._counts = counts
             self._num_clusters = result.centers.shape[0]
-        if parameter_version is not None:
-            self._last_fit_version = int(parameter_version)
         self.refresh_count += 1
-        self.refit_count += 1
-        return ClusteringOutcome(result, self.config.strategy,
-                                 refitted=True, version_delta=version_delta,
-                                 births=births)
+        return ClusteringOutcome(result, self.config.strategy, births=births)
 
     # ------------------------------------------------------------------
     # Stateless clustering (inference)
@@ -262,8 +223,8 @@ class ClusteringEngine:
                 initial_centers: Optional[np.ndarray] = None) -> KMeansResult:
         """One-shot clustering under the configured strategy.
 
-        Deterministic in ``seed`` (default: the engine's resolved seed) and
-        side-effect free: the warm-start state and persistent RNG are never
+        Deterministic in ``seed`` (default: the trainer's seed) and
+        side-effect free: the carried state and persistent RNG are never
         touched, so prediction during training cannot perturb the refresh
         sequence.  ``n_init`` overrides the ``exact`` strategy's restart
         count, and ``mini_batch=True`` makes it fit Sculley MiniBatch-KMeans
@@ -446,25 +407,14 @@ class ClusteringEngine:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def state_dict(self, parameter_version: Optional[int] = None) -> Tuple[dict, dict]:
-        """JSON-able metadata plus carried arrays for checkpointing.
-
-        The last-fit parameter version is stored as ``version_behind`` —
-        its distance from ``parameter_version`` *now* — because absolute
-        version counters do not survive a checkpoint/load cycle
-        (``load_state_dict`` bumps every parameter).
-        """
+    def state_dict(self) -> Tuple[dict, dict]:
+        """JSON-able metadata plus carried arrays for checkpointing."""
         meta = {
             "rng": self.rng.bit_generator.state,
             "refresh_count": int(self.refresh_count),
-            "refit_count": int(self.refit_count),
             "birth_count": int(self.birth_count),
             "num_clusters": (None if self._num_clusters is None
                              else int(self._num_clusters)),
-            "version_behind": (
-                None if (self._last_fit_version is None or parameter_version is None)
-                else int(parameter_version) - self._last_fit_version
-            ),
         }
         arrays = {}
         if self._centers is not None:
@@ -473,15 +423,13 @@ class ClusteringEngine:
             arrays["counts"] = self._counts.copy()
         return meta, arrays
 
-    def load_state_dict(self, meta: dict, arrays: Optional[dict] = None,
-                        parameter_version: Optional[int] = None) -> None:
+    def load_state_dict(self, meta: dict, arrays: Optional[dict] = None) -> None:
         """Restore state captured by :meth:`state_dict`."""
         arrays = arrays or {}
         rng_state = meta.get("rng")
         if rng_state is not None:
             self.rng.bit_generator.state = rng_state
         self.refresh_count = int(meta.get("refresh_count", 0))
-        self.refit_count = int(meta.get("refit_count", 0))
         self.birth_count = int(meta.get("birth_count", 0))
         num_clusters = meta.get("num_clusters")
         self._num_clusters = None if num_clusters is None else int(num_clusters)
@@ -489,15 +437,9 @@ class ClusteringEngine:
                          if "centers" in arrays else None)
         self._counts = (np.asarray(arrays["counts"], dtype=np.float64).copy()
                         if "counts" in arrays else None)
-        behind = meta.get("version_behind")
-        if behind is None or parameter_version is None:
-            self._last_fit_version = None
-        else:
-            self._last_fit_version = int(parameter_version) - int(behind)
 
     def __repr__(self) -> str:
         return (
             f"ClusteringEngine(strategy={self.config.strategy!r}, "
-            f"seed={self.base_seed}, warm={self.carries_state}, "
-            f"refreshes={self.refresh_count}, refits={self.refit_count})"
+            f"seed={self.base_seed}, refreshes={self.refresh_count})"
         )

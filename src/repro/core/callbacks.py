@@ -126,10 +126,8 @@ class EvaluationCallback(Callback):
 
     This is the callback form of the legacy ``TrainerConfig.eval_every``
     setting; the trainer installs it automatically when ``eval_every > 0``.
-    The node embeddings are computed once and passed through explicitly, so
-    an evaluation epoch costs a single encoder forward even when the
-    trainer's embedding cache is disabled; the engine's forward/cache
-    counters are exposed to later callbacks as ``logs["inference"]``.
+    The engine's forward/cache counters are exposed to later callbacks as
+    ``logs["inference"]``.
     """
 
     def __init__(self, every: int):
@@ -139,8 +137,7 @@ class EvaluationCallback(Callback):
 
     def on_epoch_end(self, trainer, epoch, logs) -> None:
         if (epoch + 1) % self.every == 0:
-            embeddings = trainer.node_embeddings()
-            accuracy = trainer.evaluate(embeddings=embeddings)
+            accuracy = trainer.evaluate()
             trainer.history.record_evaluation(epoch, accuracy)
             logs["accuracy"] = accuracy.overall
             logs["inference"] = trainer.inference_engine.stats()

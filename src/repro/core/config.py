@@ -115,17 +115,14 @@ class SamplingConfig(SerializableConfig):
         depth (both in-repo encoders are 2-layer, hence the default).
     fanouts:
         Per-hop neighbor caps for ``mode="sampled"`` (one per hop).  ``None``
-        defaults to 10 neighbors per hop; ignored by the other modes.
-    seed:
-        Optional dedicated seed for the fanout RNG.  ``None`` (default)
-        draws from the trainer's generator, whose state checkpoints already
-        persist; a dedicated generator's state is checkpointed separately.
+        defaults to 10 neighbors per hop; ignored by the other modes.  The
+        caps draw from the trainer's generator, so checkpoints persist the
+        sampler's state with it.
     """
 
     mode: str = "full"
     num_hops: int = 2
     fanouts: Optional[list] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         from ..graphs.sampling import validate_fanouts
@@ -152,7 +149,7 @@ class ClusteringConfig(SerializableConfig):
     ----------
     strategy:
         ``"exact"`` (default) runs full Lloyd K-Means with k-means++
-        restarts at the resolved seed.
+        restarts at the trainer's seed.
         ``"minibatch"`` fits MiniBatch-KMeans on at most ``sample_size``
         sampled embeddings and finishes with one full chunked assignment
         pass.  ``"online"`` streams one pass of Sculley-style centroid
@@ -166,24 +163,6 @@ class ClusteringConfig(SerializableConfig):
         Row-chunk size of the final full assignment pass (and of the online
         streaming updates); bounds peak memory at O(chunk x k), mirroring
         the layer-wise inference chunking.
-    warm_start:
-        Carry the previous refresh's centroids into the next fit (``exact``
-        and ``minibatch``; ``online`` always carries its streaming state).
-        Off by default so ``exact`` stays bit-identical to the historical
-        refresh.
-    refresh_tolerance:
-        Short-circuit threshold on the encoder's parameter-version drift
-        since the last full fit (``Module.parameter_version()`` units: one
-        optimizer step advances the version once per parameter tensor).
-        When carried centroids exist and the drift is within the tolerance,
-        the refresh only reassigns points to the existing centroids and
-        skips the re-fit.  ``0`` (default) disables the short-circuit; a
-        positive tolerance requires ``warm_start`` (or the ``online``
-        strategy) so it cannot be silently inert.
-    seed:
-        Optional dedicated seed for the clustering RNG; ``None`` (default)
-        uses the trainer's seed, which keeps ``exact`` refreshes identical
-        to the pre-engine behavior.
     birth_threshold:
         Cluster-birth trigger for the streaming protocol (``online``
         strategy only).  After each warm refresh the engine samples
@@ -206,9 +185,6 @@ class ClusteringConfig(SerializableConfig):
     strategy: str = "exact"
     sample_size: int = 8192
     reassign_chunk_size: int = 16384
-    warm_start: bool = False
-    refresh_tolerance: int = 0
-    seed: Optional[int] = None
     birth_threshold: Optional[float] = None
     birth_sample_size: int = 1024
     birth_min_size: int = 16
@@ -227,19 +203,6 @@ class ClusteringConfig(SerializableConfig):
             raise ValueError(
                 f"clustering reassign_chunk_size must be >= 1, "
                 f"got {self.reassign_chunk_size}")
-        if int(self.refresh_tolerance) < 0:
-            raise ValueError(
-                f"clustering refresh_tolerance must be >= 0, "
-                f"got {self.refresh_tolerance}")
-        if (int(self.refresh_tolerance) > 0 and not self.warm_start
-                and self.strategy != "online"):
-            raise ValueError(
-                "clustering refresh_tolerance requires carried centroids: "
-                "set warm_start=true (or use the online strategy, which "
-                "always carries its streaming state), or reset "
-                "refresh_tolerance=0 — without carried centroids the "
-                "tolerance would be silently ignored"
-            )
         if self.birth_threshold is not None:
             if self.strategy != "online":
                 raise ValueError(
@@ -282,29 +245,19 @@ class InferenceConfig(SerializableConfig):
         nodes.
     chunk_size:
         Number of node rows computed per chunk in layerwise mode.
-    cache:
-        Reuse one embedding pass across pseudo-label refresh, evaluation,
-        validation accuracy, and prediction while the encoder parameters are
-        unchanged (keyed by the parameter version counter, so stale reuse is
-        impossible).
     auto_threshold:
         Node count at which ``mode="auto"`` switches to layerwise.
-    partial_refresh:
-        Allow ``InferenceEngine.refresh_after_delta`` to serve a graph delta
-        by recomputing only the affected receptive field and patching the
-        cached array (requires ``cache``); disabling it forces every delta
-        to a full recompute.
     partial_threshold:
-        Affected-set fraction above which a delta falls back to a full
-        recompute — once most of the graph is affected, one monolithic pass
-        beats subgraph extraction plus patching.
+        Affected-set fraction above which
+        ``InferenceEngine.refresh_after_delta`` recomputes every node
+        instead of only the delta's affected receptive field — once most
+        of the graph is affected, one monolithic pass beats subgraph
+        extraction plus patching.
     """
 
     mode: str = "auto"
     chunk_size: int = 4096
-    cache: bool = True
     auto_threshold: int = 32768
-    partial_refresh: bool = True
     partial_threshold: float = 0.5
 
     def __post_init__(self):

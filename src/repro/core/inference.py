@@ -105,7 +105,6 @@ def head_predict(
     embeddings: np.ndarray,
     head_weight: np.ndarray,
     label_space: LabelSpace,
-    head_bias: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Predict with the classification head (large-graph refinement, Table IV).
 
@@ -113,7 +112,5 @@ def head_predict(
     class ids / synthetic novel ids via ``label_space``.
     """
     logits = np.asarray(embeddings) @ np.asarray(head_weight)
-    if head_bias is not None:
-        logits = logits + head_bias
     internal = logits.argmax(axis=1)
     return label_space.to_original(internal)

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.tensor import Tensor, cat
+from ..nn.tensor import Tensor, cat, no_grad
 
 
 def _positive_mask(group_ids: np.ndarray) -> np.ndarray:
@@ -92,6 +92,19 @@ def margin_cross_entropy_loss(logits: Tensor, targets: np.ndarray, margin: float
     adjustment = np.zeros(logits.shape)
     adjustment[np.arange(targets.shape[0]), targets] = -margin
     return F.cross_entropy(logits + Tensor(adjustment), targets)
+
+
+def nearest_neighbors(embeddings: Tensor) -> np.ndarray:
+    """Each row's most cosine-similar *other* row in the batch, the
+    pseudo-positive pairs of :func:`pairwise_similarity_loss`.
+
+    Only the argmax is read, so no autodiff graph is recorded (and the
+    fresh similarity matrix can be edited in place).
+    """
+    with no_grad():
+        similarities = F.pairwise_cosine_similarity(embeddings).numpy()
+    np.fill_diagonal(similarities, -np.inf)
+    return similarities.argmax(axis=1)
 
 
 def pairwise_similarity_loss(probabilities: Tensor, target_pairs: np.ndarray) -> Tensor:

@@ -25,12 +25,13 @@ from typing import Dict
 
 from ..datasets.splits import OpenWorldDataset
 from ..nn import functional as F
-from ..nn.tensor import Tensor, no_grad
+from ..nn.tensor import Tensor
 from .config import OpenIMAConfig, TrainerConfig
 from .inference import InferenceResult
 from .losses import (
     bpcl_loss,
     cross_entropy_loss,
+    nearest_neighbors,
     pairwise_similarity_loss,
 )
 from .pseudo_labels import PseudoLabels, generate_pseudo_labels
@@ -132,7 +133,6 @@ class OpenIMATrainer(GraphTrainer):
             num_clusters=self.label_space.num_total,
             rho=self.openima_config.rho,
             engine=self.clustering_engine,
-            parameter_version=self.encoder.parameter_version(),
         )
         self._pseudo_lookup = self.pseudo_labels.label_lookup(self.dataset.graph.num_nodes)
         return self.pseudo_labels
@@ -215,14 +215,8 @@ class OpenIMATrainer(GraphTrainer):
         similarity of the first view, excluding itself) and their head
         probability vectors are pulled together.
         """
-        # Only the argmax is read, so no autodiff graph is recorded for it
-        # (and the fresh array can be edited in place).
-        with no_grad():
-            similarities = F.pairwise_cosine_similarity(view1).numpy()
-        np.fill_diagonal(similarities, -np.inf)
-        nearest = similarities.argmax(axis=1)
         probabilities = F.softmax(self.head(view2), axis=-1)
-        return pairwise_similarity_loss(probabilities, nearest)
+        return pairwise_similarity_loss(probabilities, nearest_neighbors(view1))
 
     # ------------------------------------------------------------------
     # Inference

@@ -73,7 +73,6 @@ def generate_pseudo_labels(
     rho: float = 75.0,
     cluster_result: Optional[KMeansResult] = None,
     engine: Optional[ClusteringEngine] = None,
-    parameter_version: Optional[int] = None,
 ) -> PseudoLabels:
     """Produce bias-reduced pseudo labels from the current embeddings.
 
@@ -98,9 +97,8 @@ def generate_pseudo_labels(
     engine:
         The :class:`~repro.clustering.engine.ClusteringEngine` that clusters
         when no ``cluster_result`` is given, through its stateful
-        ``refresh`` path: configured strategy, warm-started centroids, and
-        the ``refresh_tolerance`` short-circuit keyed on
-        ``parameter_version``.  The outcome is recorded on the returned
+        ``refresh`` path (configured strategy, the ``online`` strategy's
+        carried centroids).  The outcome is recorded on the returned
         :class:`PseudoLabels`.  ``None`` uses a fresh default (``exact``,
         seed 0) engine.
     """
@@ -114,8 +112,7 @@ def generate_pseudo_labels(
     outcome: Optional[ClusteringOutcome] = None
     if cluster_result is None:
         engine = engine if engine is not None else ClusteringEngine()
-        outcome = engine.refresh(embeddings, num_clusters,
-                                 parameter_version=parameter_version)
+        outcome = engine.refresh(embeddings, num_clusters)
         cluster_result = outcome.result
 
     # Confidence: inversely proportional to the distance to the assigned centroid.

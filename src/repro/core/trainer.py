@@ -89,9 +89,6 @@ class GraphTrainer:
         # runs the encoder on the batch's receptive-field subgraph instead of
         # the full graph (see SamplingConfig and repro.graphs.sampling).
         sampling = config.sampling
-        self._sampling_rng: Optional[np.random.Generator] = (
-            None if sampling.seed is None else np.random.default_rng(sampling.seed)
-        )
         self._sampler: Optional[NeighborSampler] = None
         if sampling.mode != "full":
             depth = getattr(self.encoder, "num_message_passing_layers", None)
@@ -106,7 +103,7 @@ class GraphTrainer:
                 dataset.graph,
                 num_hops=sampling.num_hops,
                 fanouts=sampling.fanouts if sampling.mode == "sampled" else None,
-                rng=self._sampling_rng if self._sampling_rng is not None else self.rng,
+                rng=self.rng,
             )
 
         #: Deterministic all-node inference: layerwise/full mode selection
@@ -116,8 +113,7 @@ class GraphTrainer:
         self.inference_engine = InferenceEngine(config.inference)
 
         #: Strategy-based clustering (see repro.clustering.engine): the
-        #: pseudo-label refresh runs through its stateful path (warm-started
-        #: centroids, parameter-version refresh tolerance) and two-stage
+        #: pseudo-label refresh runs through its stateful path and two-stage
         #: prediction through its stateless one.
         self.clustering_engine = ClusteringEngine(config.clustering, seed=config.seed)
 
@@ -170,47 +166,17 @@ class GraphTrainer:
         """Restore arrays produced by :meth:`extra_state`."""
 
     def rng_state(self) -> dict:
-        """JSON-serializable state of the trainer's random generators.
-
-        Returns ``{"trainer": <state>}`` plus a ``"sampling"`` entry when a
-        dedicated fanout-sampling generator exists (``sampling.seed`` set).
-        """
-        state = {"trainer": self.rng.bit_generator.state}
-        if self._sampling_rng is not None:
-            state["sampling"] = self._sampling_rng.bit_generator.state
-        return state
+        """JSON-serializable state of the trainer's generator, ``{"trainer": <state>}``."""
+        return {"trainer": self.rng.bit_generator.state}
 
     def set_rng_state(self, state: dict) -> None:
         """Restore the generator state captured by :meth:`rng_state`.
 
-        Encoder dropout layers (and, unless ``sampling.seed`` is set, the
-        neighborhood sampler) share the trainer generator, so restoring it
-        makes a resumed run draw the exact noise an uninterrupted run would
-        have drawn.
+        Encoder dropout layers and the neighborhood sampler share the
+        trainer generator, so restoring it makes a resumed run draw the
+        exact noise an uninterrupted run would have drawn.
         """
         self.rng.bit_generator.state = state["trainer"]
-        sampling_state = state.get("sampling")
-        if sampling_state is not None and self._sampling_rng is not None:
-            self._sampling_rng.bit_generator.state = sampling_state
-
-    def clustering_state(self) -> tuple:
-        """Checkpointable clustering-engine state ``(meta, arrays)``.
-
-        ``meta`` is JSON-serializable (RNG state, counters, and the last-fit
-        parameter version expressed *relative* to the encoder's current
-        version, since absolute version counters restart on load);
-        ``arrays`` holds the carried centroids / online counts.
-        """
-        return self.clustering_engine.state_dict(self.encoder.parameter_version())
-
-    def load_clustering_state(self, meta: dict, arrays: Optional[dict] = None) -> None:
-        """Restore the state captured by :meth:`clustering_state`.
-
-        Must be called after the encoder weights are loaded, so the relative
-        parameter version anchors to the final counter value.
-        """
-        self.clustering_engine.load_state_dict(
-            meta, arrays, self.encoder.parameter_version())
 
     # ------------------------------------------------------------------
     # Training loop
@@ -332,7 +298,7 @@ class GraphTrainer:
         return logits.numpy()
 
     def configure_inference(self, inference: InferenceConfig) -> None:
-        """Swap the inference settings (mode, chunk size, caching) in place.
+        """Swap the inference settings (mode, chunk size, thresholds) in place.
 
         Rebuilds the engine (dropping any cached embeddings) and records the
         new section in ``self.config`` so subsequent checkpoints persist it.
@@ -341,9 +307,9 @@ class GraphTrainer:
         self.inference_engine = InferenceEngine(inference)
 
     def configure_clustering(self, clustering: ClusteringConfig) -> None:
-        """Swap the clustering settings (strategy, sampling, warm start).
+        """Swap the clustering settings (strategy, sampling, birth).
 
-        Rebuilds the engine — dropping any warm-start state — and records
+        Rebuilds the engine — dropping any carried state — and records
         the new section in ``self.config`` so subsequent checkpoints
         persist it.
         """
@@ -369,10 +335,8 @@ class GraphTrainer:
         """
         if embeddings is None:
             embeddings = self.node_embeddings()
-        bias = self.head.linear.bias
         predictions = head_predict(embeddings, self.head.linear.weight.data,
-                                   self.label_space,
-                                   head_bias=None if bias is None else bias.data)
+                                   self.label_space)
         return self.with_clusters(predictions, embeddings, num_novel_classes, seed,
                                   mini_batch=mini_batch)
 
@@ -427,9 +391,9 @@ class GraphTrainer:
                  embeddings: Optional[np.ndarray] = None) -> OpenWorldAccuracy:
         """Open-world accuracy on the test nodes.
 
-        ``embeddings`` short-circuits the encoder forward with a precomputed
-        pass (the cache already de-duplicates repeat forwards, so this is
-        only needed when caching is disabled or embeddings were edited).
+        ``embeddings`` replaces the encoder's pass (the cache already
+        de-duplicates repeat forwards, so this is only needed for edited
+        embeddings).
         """
         return self.accuracy_of(self.predict(num_novel_classes=num_novel_classes,
                                              embeddings=embeddings))

@@ -7,7 +7,6 @@ from .runner import (
     AggregatedResult,
     ExperimentConfig,
     RunResult,
-    build_method,
     evaluate_trainer,
     run_method,
     run_methods,
@@ -32,7 +31,6 @@ __all__ = [
     "AggregatedResult",
     "run_method",
     "run_methods",
-    "build_method",
     "evaluate_trainer",
     "build_table2",
     "build_table3",

@@ -62,7 +62,7 @@ from ..core.registry import METHODS, available_methods, get_method
 from ..datasets.registry import available_datasets, get_profile
 from .figures import build_figure1b, build_figure2
 from .persistence import save_results
-from .runner import PARALLEL_BACKENDS, ExperimentConfig
+from .runner import ExperimentConfig
 from .tables import (
     build_table2,
     build_table3,
@@ -123,10 +123,6 @@ def _add_experiment_subparser(subparsers, name: str, help_text: str) -> None:
                              "grid cells; 0 = all cores, 1 = serial "
                              "(default: 1); results are bit-identical to "
                              "serial at any setting")
-    parser.add_argument("--parallel-backend", choices=PARALLEL_BACKENDS,
-                        default="processes",
-                        help="pool backend used when --n-jobs != 1 "
-                             "(default: processes)")
     parser.set_defaults(handler=_handle_experiment)
 
 
@@ -336,7 +332,6 @@ def experiment_config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         eval_every=args.eval_every,
         sampling_mode=args.sampling_mode,
         n_jobs=args.n_jobs,
-        parallel_backend=args.parallel_backend,
     )
 
 
@@ -392,18 +387,19 @@ def _deep_merge(base: dict, updates: dict) -> dict:
     return merged
 
 
-def _handle_run(args: argparse.Namespace) -> dict:
-    from ..api import OpenWorldClassifier
+def _method_config(spec, args: argparse.Namespace, clustering=None) -> tuple:
+    """``(config, method_params)`` of ``run``/``stream``: the training flags
+    plus the ``--set`` overrides, split into config fields and the extra
+    keyword arguments of methods without a config class of their own."""
     from ..core.config import OpenIMAConfig, SamplingConfig, fast_config
 
-    spec = get_method(args.method)
     trainer_config = fast_config(
         max_epochs=args.epochs, seed=args.seed,
         encoder_kind=args.encoder, batch_size=args.batch_size,
         eval_every=args.eval_every,
         sampling=SamplingConfig(mode=args.sampling_mode),
+        clustering=clustering,
     )
-
     overrides = parse_set_overrides(args.overrides)
     if spec.config_cls is OpenIMAConfig:
         config_dict = OpenIMAConfig(trainer=trainer_config).to_dict()
@@ -413,8 +409,15 @@ def _handle_run(args: argparse.Namespace) -> dict:
     else:
         config_dict = trainer_config.to_dict()
         config_part, method_params = _split_config_overrides(spec.config_cls, overrides)
-    config = spec.config_cls.from_dict(_deep_merge(config_dict, config_part))
+    return (spec.config_cls.from_dict(_deep_merge(config_dict, config_part)),
+            method_params)
 
+
+def _handle_run(args: argparse.Namespace) -> dict:
+    from ..api import OpenWorldClassifier
+
+    spec = get_method(args.method)
+    config, method_params = _method_config(spec, args)
     classifier = OpenWorldClassifier(
         args.method, config=config,
         num_novel_classes=args.num_novel_classes,
@@ -595,12 +598,7 @@ def _run_server(args: argparse.Namespace) -> dict:
 
 def _handle_stream(args: argparse.Namespace) -> dict:
     from ..api import OpenWorldClassifier
-    from ..core.config import (
-        ClusteringConfig,
-        OpenIMAConfig,
-        SamplingConfig,
-        fast_config,
-    )
+    from ..core.config import ClusteringConfig
     from ..datasets.synthetic import load_open_world_dataset
     from ..streaming import StreamRunner, make_stream_scenario
 
@@ -628,22 +626,7 @@ def _handle_stream(args: argparse.Namespace) -> dict:
         birth_threshold=birth,
         max_clusters=int(max_clusters),
     )
-    trainer_config = fast_config(
-        max_epochs=args.epochs, seed=args.seed,
-        encoder_kind=args.encoder, batch_size=args.batch_size,
-        eval_every=args.eval_every,
-        sampling=SamplingConfig(mode=args.sampling_mode),
-        clustering=clustering,
-    )
-    overrides = parse_set_overrides(args.overrides)
-    if spec.config_cls is OpenIMAConfig:
-        config_dict = OpenIMAConfig(trainer=trainer_config).to_dict()
-        config_part, method_params = overrides, {}
-    else:
-        config_dict = trainer_config.to_dict()
-        config_part, method_params = _split_config_overrides(spec.config_cls, overrides)
-    config = spec.config_cls.from_dict(_deep_merge(config_dict, config_part))
-
+    config, method_params = _method_config(spec, args, clustering=clustering)
     classifier = OpenWorldClassifier(args.method, config=config,
                                      method_params=method_params)
     classifier.fit(scenario.base)

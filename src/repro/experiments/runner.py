@@ -12,7 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -32,9 +32,6 @@ from ..metrics.accuracy import OpenWorldAccuracy, open_world_accuracy
 from ..metrics.selection import score_candidate
 from ..metrics.variance import variance_imbalance_report
 from ..obs import EVENTS, REGISTRY
-
-#: Valid ``ExperimentConfig.parallel_backend`` values.
-PARALLEL_BACKENDS = ("serial", "threads", "processes")
 
 _FALLBACKS = REGISTRY.counter(
     "repro_parallel_serial_fallbacks_total",
@@ -120,11 +117,9 @@ class ExperimentConfig(SerializableConfig):
     :class:`repro.core.config.SamplingConfig`).
 
     ``n_jobs`` != 1 runs the method x dataset x seed grid cells on a
-    ``concurrent.futures`` pool picked by ``parallel_backend`` (default
-    ``processes``); ``0`` means every usable core.  Each cell is seeded
+    process pool; ``0`` means every usable core.  Each cell is seeded
     entirely by its own ``(method, dataset, seed)``, so cells are
-    independent and the grid result is bit-identical to the serial loop in
-    any backend.
+    independent and the grid result is bit-identical to the serial loop.
     """
 
     scale: float = 0.35
@@ -137,16 +132,11 @@ class ExperimentConfig(SerializableConfig):
     eval_every: int = 0
     sampling_mode: str = "full"
     n_jobs: int = 1
-    parallel_backend: str = "processes"
 
     def __post_init__(self) -> None:
         # JSON round-trips turn the seeds tuple into a list; normalise so
         # from_json(to_json(cfg)) == cfg holds in the serialization matrix.
         self.seeds = tuple(int(seed) for seed in self.seeds)
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel_backend {self.parallel_backend!r}; "
-                f"expected one of {PARALLEL_BACKENDS}")
         if int(self.n_jobs) < 0:
             raise ValueError(
                 f"n_jobs must be >= 0 (0 = all cores), got {self.n_jobs}")
@@ -172,33 +162,10 @@ class ExperimentConfig(SerializableConfig):
         )
 
 
-def build_method(
-    name: str,
-    dataset: OpenWorldDataset,
-    trainer_config: TrainerConfig,
-    num_novel_classes: Optional[int] = None,
-    openima_overrides: Optional[dict] = None,
-    **overrides,
-) -> GraphTrainer:
-    """Construct any registered method (OpenIMA included) by name.
-
-    Thin wrapper over :meth:`repro.core.registry.MethodRegistry.build`; the
-    ``openima_overrides`` name is kept for backwards compatibility and is
-    merged into the generic per-method ``overrides``.
-    """
-    merged = {**(openima_overrides or {}), **overrides}
-    return METHODS.build(
-        name, dataset, config=trainer_config,
-        num_novel_classes=num_novel_classes, **merged,
-    )
-
-
 def evaluate_trainer(trainer: GraphTrainer, dataset: OpenWorldDataset,
                      method_name: str, seed: int) -> RunResult:
     """Collect the full metric set from a trained model."""
-    # One embedding pass feeds prediction and the embedding-space metrics
-    # (also guaranteed by the trainer's version-keyed cache; the explicit
-    # pass-through keeps this true even with caching disabled).
+    # One embedding pass feeds prediction and the embedding-space metrics.
     embeddings = trainer.node_embeddings()
     result = trainer.predict(embeddings=embeddings)
     accuracy = trainer.accuracy_of(result)
@@ -259,10 +226,10 @@ def run_grid_cell(
         labels_per_class=experiment.labels_per_class,
     )
     trainer_config = experiment.trainer_config(seed, method=method)
-    trainer = build_method(
-        method, dataset, trainer_config,
+    trainer = METHODS.build(
+        method, dataset, config=trainer_config,
         num_novel_classes=num_novel_classes,
-        openima_overrides=openima_overrides,
+        **(openima_overrides or {}),
     )
     trainer.fit()
     return evaluate_trainer(trainer, dataset, method, seed)
@@ -278,7 +245,7 @@ def _run_cells(
     cells: List[tuple],
     experiment: ExperimentConfig,
 ) -> List[RunResult]:
-    """Ordered cell results, run on a worker pool when ``n_jobs`` != 1.
+    """Ordered cell results, run on a process pool when ``n_jobs`` != 1.
 
     ``cells`` are ``(method, dataset_name, seed, num_novel_classes,
     openima_overrides)`` tuples.  Every random draw in a cell flows from
@@ -298,15 +265,12 @@ def _run_cells(
     calls = [(method, dataset_name, seed, experiment, num_novel, overrides)
              for method, dataset_name, seed, num_novel, overrides in cells]
     workers = min(int(experiment.n_jobs) or _usable_cores(), len(calls))
-    if experiment.parallel_backend == "serial" or workers <= 1:
+    if workers <= 1:
         return [run_grid_cell(*call) for call in calls]
     try:
-        if experiment.parallel_backend == "threads":
-            pool = ThreadPoolExecutor(max_workers=workers)
-        else:
-            context = multiprocessing.get_context("forkserver")
-            context.set_forkserver_preload([__name__])
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload([__name__])
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
         try:
             futures = [pool.submit(run_grid_cell, *call) for call in calls]
             return [future.result() for future in futures]
@@ -316,7 +280,6 @@ def _run_cells(
         _FALLBACKS.inc(reason=type(exc).__name__)
         EVENTS.warning(f"experiment grid fell back to serial: {exc}",
                        source="experiments",
-                       backend=experiment.parallel_backend,
                        error=type(exc).__name__)
         return [run_grid_cell(*call) for call in calls]
 

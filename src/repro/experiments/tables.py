@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from ..core.config import OpenIMAConfig
-from ..core.openima import OpenIMATrainer
+from ..core.registry import build_method
 from ..datasets.synthetic import dataset_statistics, load_open_world_dataset
 from ..metrics.selection import (
     CandidateScore,
@@ -26,7 +23,6 @@ from .reporting import format_accuracy_table, format_table, percent
 from .runner import (
     AggregatedResult,
     ExperimentConfig,
-    build_method,
     evaluate_trainer,
     run_method,
 )
@@ -290,19 +286,3 @@ def build_table7(experiment: Optional[ExperimentConfig] = None,
         title=f"Table VII: hyper-parameter search metrics on {dataset_name} (test accuracy %)",
     )
     return {"results": outcomes, "report": report}
-
-
-# ----------------------------------------------------------------------
-# Figure 1b companion — see figures.build_figure1b
-# ----------------------------------------------------------------------
-def openima_overall_accuracy(dataset_name: str, experiment: ExperimentConfig,
-                             **openima_overrides) -> float:
-    """Convenience: overall OpenIMA accuracy for quick ablation sweeps."""
-    result = run_method("openima", dataset_name, experiment,
-                        openima_overrides=openima_overrides or None)
-    return result.accuracy.overall
-
-
-def mean_or_nan(values: Sequence[float]) -> float:
-    """Mean of a sequence, NaN when empty (helper for report assembly)."""
-    return float(np.mean(values)) if len(values) else float("nan")

@@ -16,14 +16,16 @@ class ClassificationHead(Module):
 
     The head covers both seen and novel classes (``|C_l| + |C_n|`` outputs),
     as required by the paper's logit-level contrastive objective and by the
-    end-to-end baselines.  ``normalized_logits`` returns the L2-normalized
+    end-to-end baselines.  It has no bias, so its logits are
+    ``embeddings @ weight`` (what :func:`repro.core.inference.head_predict`
+    reads).  ``normalized_logits`` returns the L2-normalized
     logits ``e_i`` of Eq. 8.
     """
 
-    def __init__(self, in_features: int, num_classes: int, bias: bool = False,
+    def __init__(self, in_features: int, num_classes: int,
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
-        self.linear = Linear(in_features, num_classes, bias=bias, rng=rng)
+        self.linear = Linear(in_features, num_classes, bias=False, rng=rng)
         self.num_classes = num_classes
 
     def forward(self, embeddings: Tensor) -> Tensor:
@@ -32,13 +34,6 @@ class ClassificationHead(Module):
     def normalized_logits(self, embeddings: Tensor) -> Tensor:
         """L2-normalized logits used by the logit-level BPCL loss (Eq. 8)."""
         return F.l2_normalize(self.forward(embeddings), axis=-1)
-
-    def predict(self, embeddings: np.ndarray) -> np.ndarray:
-        """Argmax class prediction from plain numpy embeddings."""
-        logits = np.asarray(embeddings) @ self.linear.weight.data
-        if self.linear.bias is not None:
-            logits = logits + self.linear.bias.data
-        return logits.argmax(axis=1)
 
 
 class ProjectionHead(Module):

@@ -52,9 +52,7 @@ class InferenceEngine:
 
             config = InferenceConfig()
         self.config = config
-        self.cache: Optional[EmbeddingCache] = (
-            EmbeddingCache() if self.config.cache else None
-        )
+        self.cache = EmbeddingCache()
         self._layerwise = LayerwiseInference(chunk_size=self.config.chunk_size)
         #: Number of embedding passes actually computed (cache hits excluded).
         self.forward_count = 0
@@ -84,16 +82,13 @@ class InferenceEngine:
         The returned array is marked read-only when it comes from the cache
         layer; callers that need to mutate it must copy.
         """
-        if self.cache is not None:
-            cached = self.cache.lookup(encoder, graph)
-            if cached is not None:
-                return cached
+        cached = self.cache.lookup(encoder, graph)
+        if cached is not None:
+            return cached
         embeddings = self._compute(encoder, graph)
-        if self.cache is not None:
-            # The freshly computed array has no other live reference, so the
-            # cache may freeze it in place instead of copying.
-            return self.cache.store(encoder, graph, embeddings, copy=False)
-        return embeddings
+        # The freshly computed array has no other live reference, so the
+        # cache may freeze it in place instead of copying.
+        return self.cache.store(encoder, graph, embeddings, copy=False)
 
     def _compute(self, encoder: Module, graph: Graph) -> np.ndarray:
         self.forward_count += 1
@@ -126,11 +121,11 @@ class InferenceEngine:
         and publishes it with one atomic cache store, so a thread holding
         the previous (frozen) array keeps a consistent pre-delta view.
 
-        Falls back to a full recompute when partial refresh is disabled,
-        no usable pre-delta entry exists, the encoder is deeper than the
-        report's ``num_hops`` bound, or the affected set exceeds
-        ``config.partial_threshold`` of the graph (at that size one full
-        pass is cheaper than subgraph extraction + patch).
+        Falls back to a full recompute when no usable pre-delta entry
+        exists, the encoder is deeper than the report's ``num_hops`` bound,
+        or the affected set exceeds ``config.partial_threshold`` of the
+        graph (at that size one full pass is cheaper than subgraph
+        extraction + patch).
         """
         depth = getattr(encoder, "num_message_passing_layers", None)
         if depth is not None and depth > report.num_hops:
@@ -138,8 +133,6 @@ class InferenceEngine:
                 f"delta report covers {report.num_hops} hops but the encoder "
                 f"has {depth} message-passing layers; build the DynamicGraph "
                 f"with num_hops >= {depth}")
-        if self.cache is None or not self.config.partial_refresh:
-            return self.embeddings(encoder, graph)
         if (graph.cache_version != report.new_cache_version
                 or graph.num_nodes != report.new_num_nodes):
             # The graph moved again after this report was taken; the report's
@@ -187,16 +180,15 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
         """Drop any cached embeddings (e.g. after mutating a graph in place)."""
-        if self.cache is not None:
-            self.cache.invalidate()
+        self.cache.invalidate()
 
     @property
     def cache_hits(self) -> int:
-        return 0 if self.cache is None else self.cache.hits
+        return self.cache.hits
 
     @property
     def cache_misses(self) -> int:
-        return 0 if self.cache is None else self.cache.misses
+        return self.cache.misses
 
     def stats(self) -> dict:
         """Counters for logging/diagnostics."""
@@ -211,6 +203,6 @@ class InferenceEngine:
     def __repr__(self) -> str:
         return (
             f"InferenceEngine(mode={self.config.mode!r}, "
-            f"chunk_size={self.config.chunk_size}, cache={self.config.cache}, "
+            f"chunk_size={self.config.chunk_size}, "
             f"forwards={self.forward_count})"
         )

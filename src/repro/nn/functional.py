@@ -18,6 +18,7 @@ from .tensor import Tensor, sparse_matmul
 
 __all__ = [
     "softmax",
+    "row_softmax",
     "log_softmax",
     "cross_entropy",
     "binary_cross_entropy_with_logits",
@@ -34,6 +35,13 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
     shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def row_softmax(logits: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of each row of a plain array (no autodiff)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:

@@ -336,20 +336,29 @@ class ModelServer:
         self._serving = threading.Event()
         self._shutdown_started = threading.Event()
         self._stopped = threading.Event()
+        #: Orders binding and the accept loop's start against shutdown().
+        self._lifecycle = threading.Lock()
+        self._looping = False  # guarded-by: _lifecycle
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ModelServer":
-        """Bind the socket, warm the snapshot, and start the coalescer."""
-        if self._httpd is not None:
+        """Bind the socket, warm the snapshot, and start the coalescer.
+
+        A no-op once started, and once :meth:`shutdown` has begun.
+        """
+        if self._httpd is not None or self._shutdown_started.is_set():
             return self
         if self.config.warm:
             self.service.warm()
-        self._httpd = _HTTPServer((self.config.host, self.config.port), _Handler)
-        self._httpd.model_server = self  # type: ignore[attr-defined]
-        self.coalescer.start()
-        self._serving.set()
+        with self._lifecycle:
+            if self._httpd is not None or self._shutdown_started.is_set():
+                return self
+            self._httpd = _HTTPServer((self.config.host, self.config.port), _Handler)
+            self._httpd.model_server = self  # type: ignore[attr-defined]
+            self.coalescer.start()
+            self._serving.set()
         return self
 
     @property
@@ -364,11 +373,17 @@ class ModelServer:
         return int(self.address[1])
 
     def serve_forever(self, install_signals: bool = False) -> None:
-        """Block serving requests until :meth:`shutdown` (or SIGINT/SIGTERM)."""
-        if self._httpd is None:
-            self.start()
+        """Block serving requests until :meth:`shutdown` (or SIGINT/SIGTERM).
+
+        Returns at once when :meth:`shutdown` has already begun.
+        """
+        self.start()
         if install_signals:
             self.install_signal_handlers()
+        with self._lifecycle:
+            if self._shutdown_started.is_set():
+                return
+            self._looping = True
         try:
             self._httpd.serve_forever(poll_interval=0.1)
         finally:
@@ -400,15 +415,20 @@ class ModelServer:
         connection and release the port.
 
         Returns once :meth:`serve_forever` has done so, or after
-        :attr:`SHUTDOWN_TIMEOUT_S` if a handler is still busy.
+        :attr:`SHUTDOWN_TIMEOUT_S` if a handler is still busy.  When the
+        accept loop never started, it finalizes here instead.
         """
-        if self._shutdown_started.is_set():
-            return
-        self._shutdown_started.set()
-        httpd = self._httpd
-        if httpd is not None:
+        with self._lifecycle:
+            if self._shutdown_started.is_set():
+                return
+            self._shutdown_started.set()
+            looping, httpd = self._looping, self._httpd
+        if looping:
             httpd.shutdown()
             self._stopped.wait(self.SHUTDOWN_TIMEOUT_S)
+        else:
+            # socketserver's shutdown() would wait for a loop that never ran.
+            self._finalize()
 
     def _finalize(self) -> None:
         self._serving.clear()

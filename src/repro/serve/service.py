@@ -139,13 +139,11 @@ class PredictionService:
         param, graph = self._current_version()
         if snapshot.param_counter != param or snapshot.graph_version != graph:
             return False
-        cache = self._trainer.inference_engine.cache
-        if cache is None:
-            return True
         # The embedding cache is the source of truth for staleness: a warm
         # repeat query is an explicit cache hit (counted), and an entry
         # that was invalidated or replaced behind our back forces a rebuild
         # instead of serving from a snapshot the cache no longer backs.
+        cache = self._trainer.inference_engine.cache
         return cache.lookup(self._trainer.encoder,
                             self._trainer.dataset.graph) is snapshot.embeddings
 
@@ -279,11 +277,10 @@ class PredictionService:
         service's own state or later ``stats()`` results.
         """
         engine = self._trainer.inference_engine
-        cache = engine.cache.stats() if engine.cache is not None else None
         return copy.deepcopy({
             "snapshot_builds": self.snapshot_builds,
             "encoder_forwards": engine.forward_count,
-            "embedding_cache": cache,
+            "embedding_cache": engine.cache.stats(),
             "deltas_applied": self.deltas_applied,
             "partial_refreshes": engine.partial_refresh_count,
             "full_refreshes": engine.full_refresh_count,

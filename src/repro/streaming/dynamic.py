@@ -129,8 +129,8 @@ class DynamicGraph:
     ----------
     graph:
         The live graph; mutated in place by :meth:`apply`.  Must store both
-        directions of every edge (validated at construction unless
-        ``validate=False``).
+        directions of every edge (checked at construction, and for every
+        delta's new edges by :meth:`apply`).
     num_hops:
         Message-passing depth of the encoders reading this graph (both
         in-repo encoders have two layers).  The affected set is exact for
@@ -139,13 +139,12 @@ class DynamicGraph:
         from their own full receptive field.
     """
 
-    def __init__(self, graph: Graph, num_hops: int = 2, validate: bool = True):
+    def __init__(self, graph: Graph, num_hops: int = 2):
         self.graph = graph
         self.num_hops = int(num_hops)
         if self.num_hops < 1:
             raise ValueError("num_hops must be >= 1")
-        if validate:
-            check_symmetric_edges(graph.edge_index)
+        check_symmetric_edges(graph.edge_index)
         from ..graphs.sampling import build_edge_csr
 
         self._indptr, self._indices = build_edge_csr(
@@ -162,12 +161,12 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     # Delta application
     # ------------------------------------------------------------------
-    def apply(self, delta: GraphDelta, validate: bool = True) -> DeltaReport:
+    def apply(self, delta: GraphDelta) -> DeltaReport:
         """Apply ``delta`` to the wrapped graph and report its k-hop impact."""
         graph = self.graph
         old_n = graph.num_nodes
         old_version = graph.cache_version
-        if validate and delta.num_new_edges:
+        if delta.num_new_edges:
             check_symmetric_edges(delta.add_edges, what="delta.add_edges")
         graph.apply_delta(delta)
         new_n = graph.num_nodes

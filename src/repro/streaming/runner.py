@@ -27,7 +27,7 @@ deployment story of a trained model serving an evolving graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -173,13 +173,13 @@ class StreamRunner:
             np.concatenate([split.train_nodes, split.val_nodes]))
         self._alignment: Optional[ClusterAlignment] = None
         self._centers: Optional[np.ndarray] = None
-        self._warm_start()
+        self._fit_base_clustering()
         self._clusters_start = int(self._centers.shape[0])
 
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
-    def _warm_start(self) -> None:
+    def _fit_base_clustering(self) -> None:
         """Fit the carried clustering + alignment on the base graph."""
         trainer = self.trainer
         embeddings = trainer.node_embeddings()

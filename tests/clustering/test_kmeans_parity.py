@@ -171,16 +171,17 @@ class TestFits:
 
 class TestEngine:
     CONFIGS = {
-        "exact": ClusteringConfig(strategy="exact", warm_start=True),
+        "exact": ClusteringConfig(strategy="exact"),
         "minibatch": ClusteringConfig(strategy="minibatch", sample_size=300,
-                                      reassign_chunk_size=128, warm_start=True),
+                                      reassign_chunk_size=128),
         "online": ClusteringConfig(strategy="online", sample_size=300,
                                    reassign_chunk_size=128),
     }
 
     @staticmethod
     def run(config, data):
-        """Two cold clusterings, then three refreshes (the last two warm)."""
+        """Two cold clusterings, then three refreshes (``online`` carries its
+        centroids into the last two)."""
         engine = ClusteringEngine(config, seed=9)
         results = [engine.cluster(data, 6), engine.cluster(data, 6, mini_batch=True)]
         for step in range(3):

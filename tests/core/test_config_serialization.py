@@ -32,14 +32,14 @@ from repro.serve.server import ServeConfig
 ALL_CONFIGS = [
     EncoderConfig(kind="gcn", hidden_dim=48),
     OptimizerConfig(learning_rate=3e-3, weight_decay=0.0),
-    SamplingConfig(mode="sampled", num_hops=3, fanouts=[5, 5, 5], seed=2),
-    ClusteringConfig(strategy="online", sample_size=512, warm_start=True,
-                     refresh_tolerance=8, seed=5),
+    SamplingConfig(mode="sampled", num_hops=3, fanouts=[5, 5, 5]),
+    ClusteringConfig(strategy="online", sample_size=512, birth_threshold=0.1,
+                     max_clusters=12),
     fast_config(max_epochs=5, seed=3, encoder_kind="gat"),
     fast_config(sampling=SamplingConfig(mode="khop")),
     fast_config(clustering=ClusteringConfig(strategy="minibatch")),
     OpenIMAConfig(eta=2.5, rho=50.0, large_scale=True, num_novel_classes=4),
-    InferenceConfig(mode="layerwise", chunk_size=256, cache=False),
+    InferenceConfig(mode="layerwise", chunk_size=256, partial_threshold=0.25),
     SBMConfig(num_nodes=120, num_classes=4, homophily=0.7, feature_dim=16),
     ServeConfig(port=0, batch_window_ms=1.5, max_batch=64, warm=False),
     ExperimentConfig(scale=0.25, max_epochs=4, seeds=[1, 2], eval_every=2),
@@ -148,10 +148,29 @@ class TestValidation:
          "unknown TrainerConfig keys.*'kmeans_batch_size'"),
         (ExperimentConfig, {"backend": "dense"},
          "unknown ExperimentConfig keys.*'backend'"),
+        (TrainerConfig, {"clustering": {"warm_start": True}},
+         "unknown ClusteringConfig keys.*'warm_start'"),
+        (TrainerConfig, {"clustering": {"refresh_tolerance": 8}},
+         "unknown ClusteringConfig keys.*'refresh_tolerance'"),
+        (TrainerConfig, {"clustering": {"seed": 5}},
+         "unknown ClusteringConfig keys.*'seed'"),
+        (TrainerConfig, {"inference": {"cache": False}},
+         "unknown InferenceConfig keys.*'cache'"),
+        (TrainerConfig, {"inference": {"partial_refresh": False}},
+         "unknown InferenceConfig keys.*'partial_refresh'"),
+        (TrainerConfig, {"sampling": {"seed": 2}},
+         "unknown SamplingConfig keys.*'seed'"),
+        (ExperimentConfig, {"parallel_backend": "threads"},
+         "unknown ExperimentConfig keys.*'parallel_backend'"),
     ], ids=["encoder.backend", "trainer.mini_batch_kmeans",
-            "trainer.kmeans_batch_size", "experiment.backend"])
+            "trainer.kmeans_batch_size", "experiment.backend",
+            "clustering.warm_start", "clustering.refresh_tolerance",
+            "clustering.seed", "inference.cache", "inference.partial_refresh",
+            "sampling.seed", "experiment.parallel_backend"])
     def test_removed_option_rejected(self, config_class, data, message):
-        """The dense-backend and legacy K-Means options fail loudly, not silently."""
+        """Removed options fail loudly, not silently: the dense backend, the
+        legacy K-Means switches, and the clustering, inference, sampling and
+        grid-pool settings that no caller set."""
         with pytest.raises(ValueError, match=message):
             config_class.from_dict(data)
 

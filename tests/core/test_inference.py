@@ -89,13 +89,3 @@ class TestHeadPredict:
         predictions = head_predict(embeddings, weight, space)
         assert predictions[0] == 2   # internal 0 -> original 2
         assert predictions[1] == 5   # internal 1 -> original 5
-
-    def test_bias_changes_prediction(self):
-        space = LabelSpace(seen_classes=np.array([0, 1]), num_novel=0) \
-            if False else LabelSpace(seen_classes=np.array([0, 1]), num_novel=1)
-        embeddings = np.zeros((3, 2))
-        weight = np.zeros((2, 3))
-        bias = np.array([0.0, 0.0, 10.0])
-        predictions = head_predict(embeddings, weight, space, head_bias=bias)
-        # Internal index 2 is a novel id, mapped past the seen classes.
-        assert (predictions >= 2).all()

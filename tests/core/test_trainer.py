@@ -152,9 +152,8 @@ class TestGraphTrainer:
         trainer = InfoNCETrainer(small_dataset, tiny_trainer_config)
         embeddings = trainer.node_embeddings()
         result = trainer.predict_with_head(seed=3, embeddings=embeddings, mini_batch=True)
-        linear = trainer.head.linear
-        expected = head_predict(embeddings, linear.weight.data, trainer.label_space,
-                                head_bias=None if linear.bias is None else linear.bias.data)
+        expected = head_predict(embeddings, trainer.head.linear.weight.data,
+                                trainer.label_space)
         assert np.array_equal(result.predictions, expected)
         mini = two_stage_predict(embeddings, small_dataset, seed=3, mini_batch=True)
         exact = two_stage_predict(embeddings, small_dataset, seed=3)

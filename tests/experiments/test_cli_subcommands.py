@@ -33,14 +33,21 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv + ["--backend", "sparse"])
 
+    @pytest.mark.parametrize("command", ["table3", "fig2"])
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_parallel_backend_flag_removed(self, command, backend):
+        build_parser().parse_args([command, "--n-jobs", "2"])
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--parallel-backend", backend])
+        assert excinfo.value.code == 2
+
     def test_tables_accept_eval_every(self):
         args = build_parser().parse_args(["table3", "--eval-every", "2"])
         assert args.eval_every == 2
 
     def test_grid_pool_flags_only_on_table_and_figure_commands(self):
-        args = build_parser().parse_args(
-            ["fig2", "--n-jobs", "0", "--parallel-backend", "threads"])
-        assert (args.n_jobs, args.parallel_backend) == (0, "threads")
+        args = build_parser().parse_args(["fig2", "--n-jobs", "0"])
+        assert args.n_jobs == 0
         for command in (TINY_RUN, ["stream", "--dataset", "citeseer"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(command + ["--n-jobs", "2"])

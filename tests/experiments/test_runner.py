@@ -6,12 +6,13 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.core.openima import OpenIMATrainer
+from repro.core.registry import build_method
 from repro.baselines.orca import ORCATrainer
 from repro.experiments import runner
 from repro.experiments.runner import (
@@ -19,7 +20,6 @@ from repro.experiments.runner import (
     ExperimentConfig,
     RunResult,
     _run_cells,
-    build_method,
     evaluate_trainer,
     run_method,
     run_methods,
@@ -45,10 +45,8 @@ class TestBuildMethod:
 
     def test_openima_overrides_applied(self):
         dataset = load_open_world_dataset("citeseer", seed=0, scale=0.15)
-        trainer = build_method(
-            "openima", dataset, TINY.trainer_config(0),
-            openima_overrides={"eta": 20.0, "rho": 25.0},
-        )
+        trainer = build_method("openima", dataset, TINY.trainer_config(0),
+                               eta=20.0, rho=25.0)
         assert trainer.openima_config.eta == 20.0
         assert trainer.openima_config.rho == 25.0
 
@@ -128,12 +126,9 @@ class TestEpochBudgets:
 # ----------------------------------------------------------------------
 # Grid cells on a worker pool
 # ----------------------------------------------------------------------
-POOL_BACKENDS = ("threads", "processes")
-
 GRID_EXPERIMENT = dict(scale=0.1, max_epochs=1, batch_size=128,
                        encoder_kind="gcn", seeds=(0, 1))
-THREADED_EXPERIMENT = ExperimentConfig(**GRID_EXPERIMENT, n_jobs=2,
-                                       parallel_backend="threads")
+POOLED_EXPERIMENT = ExperimentConfig(**GRID_EXPERIMENT, n_jobs=2)
 GRID_CELLS = [(method, dataset, seed, None, None)
               for method in ("infonce", "openima")
               for dataset in ("citeseer", "amazon-photos")
@@ -165,12 +160,12 @@ def worker_identity_cell(method, dataset_name, seed, experiment,
             openima_overrides)
 
 
-class RecordingThreadPool(ThreadPoolExecutor):
+class RecordingProcessPool(ProcessPoolExecutor):
     sizes: list = []
 
-    def __init__(self, max_workers):
-        RecordingThreadPool.sizes.append(max_workers)
-        super().__init__(max_workers=max_workers)
+    def __init__(self, max_workers, mp_context):
+        RecordingProcessPool.sizes.append(max_workers)
+        super().__init__(max_workers=max_workers, mp_context=mp_context)
 
 
 def wait_for_no_children() -> None:
@@ -181,17 +176,11 @@ def wait_for_no_children() -> None:
 
 
 class TestExperimentGridParity:
-    """The 2 x 2 x 2 method x dataset x seed grid is backend-invariant."""
+    """The 2 x 2 x 2 method x dataset x seed grid is pool-invariant."""
 
-    @pytest.fixture(scope="class")
-    def serial_runs(self):
-        return _run_cells(GRID_CELLS, ExperimentConfig(**GRID_EXPERIMENT))
-
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_grid_cells_bitwise_match_serial(self, serial_runs, backend):
-        experiment = ExperimentConfig(**GRID_EXPERIMENT, n_jobs=2,
-                                      parallel_backend=backend)
-        runs = _run_cells(GRID_CELLS, experiment)
+    def test_grid_cells_bitwise_match_serial(self):
+        serial_runs = _run_cells(GRID_CELLS, ExperimentConfig(**GRID_EXPERIMENT))
+        runs = _run_cells(GRID_CELLS, POOLED_EXPERIMENT)
         assert [run.as_dict() for run in runs] == [
             run.as_dict() for run in serial_runs]
 
@@ -209,39 +198,34 @@ class TestPoolDispatch:
             run.as_dict() for run in serial.runs]
 
         monkeypatch.setattr(runner, "run_grid_cell", worker_identity_cell)
-        tagged = run_method("openima", "citeseer", THREADED_EXPERIMENT,
+        tagged = run_method("openima", "citeseer", POOLED_EXPERIMENT,
                             openima_overrides=overrides)
-        assert [(ident != threading.get_ident(), extra) for _, ident, _, extra
+        assert [(pid != os.getpid(), extra) for pid, _, _, extra
                 in tagged.runs] == [(True, overrides)] * 2
 
     def test_num_novel_classes_runs_on_pool_workers(self, monkeypatch):
         monkeypatch.setattr(runner, "run_grid_cell", worker_identity_cell)
         results = run_methods(["infonce", "openima"], "citeseer",
-                              THREADED_EXPERIMENT, num_novel_classes=3)
+                              POOLED_EXPERIMENT, num_novel_classes=3)
         runs = [run for method in ("infonce", "openima")
                 for run in results[method].runs]
-        assert [(ident != threading.get_ident(), novel) for _, ident, novel, _
+        assert [(pid != os.getpid(), novel) for pid, _, novel, _
                 in runs] == [(True, 3)] * 4
 
-    @pytest.mark.parametrize("experiment", [
-        ExperimentConfig(**GRID_EXPERIMENT, n_jobs=1),
-        ExperimentConfig(**GRID_EXPERIMENT, n_jobs=4, parallel_backend="serial"),
-    ], ids=["one-job", "serial-backend"])
-    def test_serial_settings_run_inline(self, monkeypatch, experiment):
+    def test_one_job_runs_inline(self, monkeypatch):
         monkeypatch.setattr(runner, "run_grid_cell", worker_identity_cell)
-        runs = _run_cells(GRID_CELLS, experiment)
+        runs = _run_cells(GRID_CELLS, ExperimentConfig(**GRID_EXPERIMENT, n_jobs=1))
         assert {run[:2] for run in runs} == {
             (os.getpid(), threading.get_ident())}
 
     def test_zero_jobs_uses_every_usable_core(self, monkeypatch):
         monkeypatch.setattr(runner, "run_grid_cell", worker_identity_cell)
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingThreadPool)
-        RecordingThreadPool.sizes = []
-        experiment = ExperimentConfig(**GRID_EXPERIMENT, n_jobs=0,
-                                      parallel_backend="threads")
-        _run_cells(GRID_CELLS, experiment)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingProcessPool)
+        RecordingProcessPool.sizes = []
+        _run_cells(GRID_CELLS, ExperimentConfig(**GRID_EXPERIMENT, n_jobs=0))
         workers = min(len(os.sched_getaffinity(0)), len(GRID_CELLS))
-        assert RecordingThreadPool.sizes == ([workers] if workers > 1 else [])
+        assert RecordingProcessPool.sizes == ([workers] if workers > 1 else [])
+        wait_for_no_children()
 
 
 class TestCrashFallback:
@@ -249,9 +233,7 @@ class TestCrashFallback:
         monkeypatch.setattr(runner, "run_grid_cell", crash_in_child_cell)
         fallbacks = REGISTRY.get("repro_parallel_serial_fallbacks_total")
         before = fallbacks.value(reason="BrokenProcessPool")
-        experiment = ExperimentConfig(**GRID_EXPERIMENT, n_jobs=2,
-                                      parallel_backend="processes")
-        results = _run_cells(GRID_CELLS, experiment)
+        results = _run_cells(GRID_CELLS, POOLED_EXPERIMENT)
         # Partials are discarded; the serial rerun returns the exact answer.
         assert results == [cell[:3] for cell in GRID_CELLS]
         assert fallbacks.value(reason="BrokenProcessPool") == before + 1
@@ -263,15 +245,11 @@ class TestCrashFallback:
 
 
 class TestInterrupt:
-    @pytest.mark.parametrize("backend", POOL_BACKENDS)
-    def test_keyboard_interrupt_cleans_up_and_reraises(self, monkeypatch,
-                                                       backend):
+    def test_keyboard_interrupt_cleans_up_and_reraises(self, monkeypatch):
         monkeypatch.setattr(runner, "run_grid_cell", interrupting_cell)
         fallbacks = REGISTRY.get("repro_parallel_serial_fallbacks_total")
         before = fallbacks.total()
-        experiment = ExperimentConfig(**GRID_EXPERIMENT, n_jobs=2,
-                                      parallel_backend=backend)
         with pytest.raises(KeyboardInterrupt):
-            _run_cells(GRID_CELLS, experiment)
+            _run_cells(GRID_CELLS, POOLED_EXPERIMENT)
         wait_for_no_children()
         assert fallbacks.total() == before

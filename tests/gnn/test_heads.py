@@ -24,18 +24,13 @@ class TestClassificationHead:
         norms = np.linalg.norm(normalized.data, axis=1)
         np.testing.assert_allclose(norms, np.ones(4), atol=1e-9)
 
-    def test_predict_matches_argmax(self):
+    def test_logits_are_embeddings_times_weight(self):
+        # head_predict reads the logits as embeddings @ weight: no bias.
         head = ClassificationHead(6, 4, rng=np.random.default_rng(2))
         embeddings = np.random.default_rng(3).normal(size=(10, 6))
-        predictions = head.predict(embeddings)
-        manual = (embeddings @ head.linear.weight.data).argmax(axis=1)
-        np.testing.assert_array_equal(predictions, manual)
-
-    def test_predict_with_bias(self):
-        head = ClassificationHead(4, 3, bias=True, rng=np.random.default_rng(4))
-        head.linear.bias.data = np.array([100.0, 0.0, 0.0])
-        predictions = head.predict(np.zeros((5, 4)))
-        np.testing.assert_array_equal(predictions, np.zeros(5))
+        assert head.linear.bias is None
+        np.testing.assert_array_equal(head(Tensor(embeddings)).data,
+                                      embeddings @ head.linear.weight.data)
 
     def test_gradients_flow(self):
         head = ClassificationHead(4, 3, rng=np.random.default_rng(5))

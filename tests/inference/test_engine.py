@@ -32,7 +32,7 @@ class TestConfig:
     def test_defaults(self):
         config = InferenceConfig()
         assert config.mode == "auto"
-        assert config.cache is True
+        assert config.partial_threshold == 0.5
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="inference mode"):
@@ -44,7 +44,8 @@ class TestConfig:
 
     def test_round_trip_inside_trainer_config(self):
         config = TrainerConfig(
-            inference=InferenceConfig(mode="layerwise", chunk_size=123, cache=False))
+            inference=InferenceConfig(mode="layerwise", chunk_size=123,
+                                      partial_threshold=0.3))
         restored = TrainerConfig.from_dict(config.to_dict())
         assert restored.inference == config.inference
 
@@ -108,13 +109,6 @@ class TestEmbeddings:
         second = engine.embeddings(encoder, graph)
         assert engine.forward_count == 2
         assert np.abs(np.asarray(first) - np.asarray(second)).max() > 0
-
-    def test_cache_disabled_recomputes_every_call(self, encoder, graph):
-        engine = InferenceEngine(InferenceConfig(mode="full", cache=False))
-        engine.embeddings(encoder, graph)
-        engine.embeddings(encoder, graph)
-        assert engine.forward_count == 2
-        assert engine.cache is None
 
     def test_invalidate_drops_entry(self, encoder, graph):
         engine = InferenceEngine()

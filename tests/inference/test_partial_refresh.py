@@ -57,7 +57,7 @@ def make_encoder(kind: str, seed=0):
 
 
 def make_engine(**overrides) -> InferenceEngine:
-    defaults = dict(mode="full", partial_refresh=True, partial_threshold=1.0)
+    defaults = dict(mode="full", partial_threshold=1.0)
     defaults.update(overrides)
     return InferenceEngine(InferenceConfig(**defaults))
 
@@ -126,24 +126,15 @@ class TestFallbacks:
         assert engine.partial_refresh_count == 0
         np.testing.assert_allclose(result, encoder.embed(graph), atol=1e-8)
 
-    def test_partial_refresh_disabled_by_config(self):
+    def test_no_cached_entry_falls_back_to_full(self):
         graph = make_graph()
         encoder = make_encoder("gcn")
-        engine = make_engine(partial_refresh=False)
-        engine.embeddings(encoder, graph)
-        dynamic = DynamicGraph(graph, num_hops=2)
-        report = dynamic.apply(make_delta(graph))
-        engine.refresh_after_delta(encoder, graph, report)
-        assert engine.partial_refresh_count == 0
-        assert engine.forward_count == 2
-
-    def test_no_cache_falls_back_to_full(self):
-        graph = make_graph()
-        encoder = make_encoder("gcn")
-        engine = make_engine(cache=False)
+        engine = make_engine()
         dynamic = DynamicGraph(graph, num_hops=2)
         report = dynamic.apply(make_delta(graph))
         result = engine.refresh_after_delta(encoder, graph, report)
+        assert engine.full_refresh_count == 1
+        assert engine.partial_refresh_count == 0
         np.testing.assert_allclose(result, encoder.embed(graph), atol=1e-8)
 
     def test_stale_report_falls_back(self):

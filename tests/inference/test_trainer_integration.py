@@ -67,10 +67,11 @@ class TestForwardCounting:
         trainer.node_embeddings()
         assert trainer.inference_engine.forward_count == before + 1
 
-    def test_explicit_embeddings_pass_through_without_cache(self, small_dataset):
-        trainer = InfoNCETrainer(small_dataset, make_config(cache=False))
+    def test_explicit_embeddings_pass_through(self, small_dataset):
+        trainer = InfoNCETrainer(small_dataset, make_config())
         trainer.fit()
         embeddings = trainer.node_embeddings()
+        trainer.inference_engine.invalidate()  # nothing left to hit
         forwards = trainer.inference_engine.forward_count
         trainer.evaluate(embeddings=embeddings)
         trainer.validation_accuracy(embeddings=embeddings)
@@ -116,15 +117,14 @@ class TestCheckpointPersistence:
     def test_manifest_records_inference_config(self, small_dataset, tmp_path):
         trainer = InfoNCETrainer(
             small_dataset,
-            make_config(max_epochs=1, mode="layerwise", chunk_size=77, cache=False),
+            make_config(max_epochs=1, mode="layerwise", chunk_size=77),
         )
         trainer.fit()
         save_trainer_checkpoint(trainer, tmp_path / "ckpt")
         manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
         assert manifest["config"]["inference"] == {
-            "mode": "layerwise", "chunk_size": 77, "cache": False,
-            "auto_threshold": 32768, "partial_refresh": True,
-            "partial_threshold": 0.5,
+            "mode": "layerwise", "chunk_size": 77,
+            "auto_threshold": 32768, "partial_threshold": 0.5,
         }
         restored, _ = load_trainer_checkpoint(tmp_path / "ckpt",
                                               dataset=small_dataset)

@@ -227,6 +227,27 @@ class TestLifecycle:
             time.sleep(0.01)
         assert not handler_threads()
 
+    def test_shutdown_after_start_without_serve_forever(self, served_classifier):
+        """With no accept loop to stop, shutdown() frees the port and the
+        coalescer itself, and a later serve_forever returns at once."""
+        before = set(threading.enumerate())
+        server = ModelServer(PredictionService(served_classifier),
+                             ServeConfig(port=0, batch_window_ms=0.0, warm=False))
+        server.start()
+        port = server.port
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2.0)
+        assert not stopper.is_alive(), "shutdown() blocked"
+        assert not [t for t in set(threading.enumerate()) - before
+                    if t.name == "repro-serve-coalescer" and t.is_alive()]
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))
+        late = threading.Thread(target=server.serve_forever, daemon=True)
+        late.start()
+        late.join(timeout=2.0)
+        assert not late.is_alive(), "serve_forever() ran after shutdown()"
+
     def test_shutdown_is_idempotent(self, served_classifier):
         server = ModelServer(PredictionService(served_classifier),
                              ServeConfig(port=0))
