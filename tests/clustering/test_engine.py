@@ -9,6 +9,7 @@ from repro.clustering import ClusteringEngine, normalized_mutual_information
 from repro.clustering.engine import MINI_BATCH_SIZE
 from repro.clustering.kmeans import KMeans, MiniBatchKMeans
 from repro.core.config import ClusteringConfig
+from repro.obs import REGISTRY
 
 
 def blobs(num_per_blob=150, num_blobs=5, dim=8, seed=0, spread=0.35):
@@ -76,6 +77,27 @@ class TestExactStrategy:
         outcome = engine.refresh(data, 5)
         assert engine.base_seed == 11
         assert np.array_equal(outcome.result.labels, legacy.labels)
+
+    def test_refresh_refits_drifted_embeddings(self, data):
+        # Each refresh is a fresh fit: after the embeddings move, the
+        # clustering follows them instead of reusing the last centroids.
+        engine = ClusteringEngine(ClusteringConfig(), seed=0)
+        engine.refresh(data, 5)
+        drifted = blobs(seed=1)
+        outcome = engine.refresh(drifted, 5)
+        legacy = KMeans(5, seed=0).fit(drifted)
+        assert np.array_equal(outcome.result.labels, legacy.labels)
+        assert np.array_equal(outcome.result.centers, legacy.centers)
+
+    def test_refresh_counter_counts_refreshes_only(self, data):
+        counter = REGISTRY.get("repro_cluster_refreshes_total")
+        engine = ClusteringEngine(ClusteringConfig(), seed=0)
+        before = counter.value()
+        engine.refresh(data, 5)
+        engine.cluster(data, 5)  # the stateless inference path is no refresh
+        engine.refresh(data, 5)
+        assert counter.value() == before + 2
+        assert engine.refresh_count == 2
 
 
 @pytest.mark.parametrize("strategy", ["minibatch", "online"])

@@ -80,6 +80,25 @@ class TestExactRefreshParity:
         assert outcome.births == ()
         assert trainer.clustering_engine.refresh_count == 1
 
+    def test_refresh_schedule_spaces_engine_refreshes(self, small_dataset):
+        # pseudo_label_refresh alone spaces the refits: warm-up 1 and period
+        # 2 refresh at epochs 1 and 3 of 5.
+        config = OpenIMAConfig(trainer=fast_config(max_epochs=5, seed=0,
+                                                   batch_size=128),
+                               pseudo_label_warmup=1, pseudo_label_refresh=2)
+        trainer = OpenIMATrainer(small_dataset, config)
+
+        class RefreshCounts(Callback):
+            def __init__(self):
+                self.counts = []
+
+            def on_epoch_start(self, trainer, epoch):
+                self.counts.append(trainer.clustering_engine.refresh_count)
+
+        spy = RefreshCounts()
+        trainer.fit(callbacks=[spy])
+        assert spy.counts == [0, 1, 1, 2, 2]
+
     @pytest.mark.parametrize("trainer_cls", [ORCATrainer, OpenWGLTrainer,
                                              OpenConTrainer])
     def test_predict_clustering_matches_legacy(self, small_dataset, trainer_cls):

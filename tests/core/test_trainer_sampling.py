@@ -94,23 +94,34 @@ class TestRngStateFormats:
         assert other.rng_state() == state
 
 
+def assert_resume_matches_uninterrupted(config, tmp_path):
+    dataset_options = {"scale": 0.15, "seed": 0}
+
+    uninterrupted = OpenWorldClassifier("infonce", config=config)
+    uninterrupted.fit("citeseer", **dataset_options)
+
+    resumed = OpenWorldClassifier("infonce", config=config)
+    resumed.fit("citeseer", max_epochs=2, **dataset_options)
+    resumed.save(tmp_path / "ckpt")
+    restored = OpenWorldClassifier.load(tmp_path / "ckpt")
+    restored.fit(max_epochs=config.max_epochs)
+
+    np.testing.assert_allclose(restored.history.losses,
+                               uninterrupted.history.losses, atol=0, rtol=0)
+    np.testing.assert_array_equal(restored.predict(), uninterrupted.predict())
+
+
 class TestCheckpointResumeParity:
     def test_khop_resume_matches_uninterrupted(self, tmp_path):
         config = sampled_config("khop", max_epochs=4, dropout=0.3, batch_size=96)
-        dataset_options = {"scale": 0.15, "seed": 0}
+        assert_resume_matches_uninterrupted(config, tmp_path)
 
-        uninterrupted = OpenWorldClassifier("infonce", config=config)
-        uninterrupted.fit("citeseer", **dataset_options)
-
-        resumed = OpenWorldClassifier("infonce", config=config)
-        resumed.fit("citeseer", max_epochs=2, **dataset_options)
-        resumed.save(tmp_path / "ckpt")
-        restored = OpenWorldClassifier.load(tmp_path / "ckpt")
-        restored.fit(max_epochs=4)
-
-        np.testing.assert_allclose(restored.history.losses,
-                                   uninterrupted.history.losses, atol=0, rtol=0)
-        np.testing.assert_array_equal(restored.predict(), uninterrupted.predict())
+    def test_sampled_resume_matches_uninterrupted(self, tmp_path):
+        # The fanout draws come from the trainer's generator, whose state is
+        # the checkpoint's only RNG entry.
+        config = sampled_config("sampled", max_epochs=4, dropout=0.3,
+                                batch_size=96, fanouts=[4, 4])
+        assert_resume_matches_uninterrupted(config, tmp_path)
 
     def test_manifest_records_sampling_config(self, tmp_path):
         config = sampled_config("sampled", max_epochs=1, fanouts=[5, 5])

@@ -113,6 +113,22 @@ class TestParity:
         assert np.array_equal(patched[untouched], before[untouched])
 
 
+    def test_default_config_patches_small_delta(self):
+        # Partial refresh is always on: the default engine patches a delta
+        # whose affected set stays under the default partial_threshold.
+        graph = make_graph(num_nodes=600)
+        encoder = make_encoder("gcn")
+        engine = InferenceEngine()
+        engine.embeddings(encoder, graph)
+        dynamic = DynamicGraph(graph, num_hops=2)
+        report = dynamic.apply(make_delta(graph, num_edges=0))
+        assert report.num_affected <= engine.config.partial_threshold * graph.num_nodes
+        patched = engine.refresh_after_delta(encoder, graph, report)
+        assert engine.partial_refresh_count == 1
+        assert engine.full_refresh_count == 0
+        np.testing.assert_allclose(patched, encoder.embed(graph), atol=1e-8)
+
+
 class TestFallbacks:
     def test_threshold_forces_full_recompute(self):
         graph = make_graph()
