@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult
 from ..core.losses import cross_entropy_loss
 from ..core.registry import register_method
 from ..core.trainer import GraphTrainer
@@ -70,17 +69,8 @@ class OODGATTrainer(GraphTrainer):
             loss = (seen_logits * 0.0).sum()
         return loss
 
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
+    def own_predictions(self, embeddings: np.ndarray) -> np.ndarray:
         """Seen-class prediction by the head; OOD nodes clustered by K-Means."""
-        if embeddings is None:
-            embeddings = self.node_embeddings()
-        num_novel = (
-            num_novel_classes if num_novel_classes is not None else self.label_space.num_novel
-        )
-        seed = self.config.seed if seed is None else seed
-
         logits = embeddings @ self.head.linear.weight.data
         seen_logits = logits[:, : self.label_space.num_seen]
         probabilities = F.row_softmax(seen_logits)
@@ -89,15 +79,5 @@ class OODGATTrainer(GraphTrainer):
         # Nodes above the entropy quantile (computed on unlabeled nodes) are OOD.
         test_nodes = self.dataset.split.test_nodes
         threshold = np.quantile(entropy[test_nodes], 1.0 - self.ood_quantile)
-        is_ood = entropy > threshold
-        is_ood[self.dataset.split.train_nodes] = False
-        is_ood[self.dataset.split.val_nodes] = False
-
-        internal = probabilities.argmax(axis=1)
-        ood_nodes = np.where(is_ood)[0]
-        if ood_nodes.shape[0] >= num_novel and num_novel > 0:
-            clusters = self.clustering_engine.cluster(
-                embeddings[ood_nodes], num_novel, seed=seed, n_init=1).labels
-            internal[ood_nodes] = self.label_space.num_seen + clusters
-        predictions = self.label_space.to_original(internal)
-        return self.with_clusters(predictions, embeddings, num_novel, seed)
+        return self.cluster_rejected(probabilities.argmax(axis=1), entropy > threshold,
+                                     embeddings)

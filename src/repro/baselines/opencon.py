@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult
 from ..core.losses import cross_entropy_loss, supervised_contrastive_loss
 from ..core.registry import register_method
 from ..core.trainer import GraphTrainer
@@ -37,6 +36,7 @@ class OpenConTrainer(GraphTrainer):
     """OpenCon: prototype-based pseudo labels + contrastive learning + CE."""
 
     method_name = "OpenCon"
+    predicts_with_head = True
 
     def __init__(self, dataset: OpenWorldDataset, config: Optional[TrainerConfig] = None,
                  ood_threshold: float = 0.5, prototype_momentum: float = 0.9,
@@ -129,15 +129,6 @@ class OpenConTrainer(GraphTrainer):
                 self.supervised_weight
         return loss
 
-    # ------------------------------------------------------------------
-    # Prediction
-    # ------------------------------------------------------------------
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        """End-to-end prediction with the classification head."""
-        return self.predict_with_head(num_novel_classes, seed, embeddings)
-
 
 @register_method(
     "opencon-two-stage",
@@ -149,12 +140,7 @@ class OpenConTwoStageTrainer(OpenConTrainer):
     """OpenCon‡: identical training, two-stage (K-Means) prediction."""
 
     method_name = "OpenCon-TwoStage"
-
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        return GraphTrainer.predict(self, num_novel_classes=num_novel_classes,
-                                    seed=seed, embeddings=embeddings)
+    predicts_with_head = False
 
 
 def _l2_rows(matrix: np.ndarray, eps: float = 1e-12) -> np.ndarray:

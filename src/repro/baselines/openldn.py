@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult
 from ..core.losses import (
     confidence_pseudo_label_loss,
     cross_entropy_loss,
@@ -41,6 +40,7 @@ class OpenLDNTrainer(GraphTrainer):
     """OpenLDN with the GAT encoder and classifier-generated pseudo labels."""
 
     method_name = "OpenLDN"
+    predicts_with_head = True
 
     def __init__(self, dataset: OpenWorldDataset, config: Optional[TrainerConfig] = None,
                  confidence_threshold: float = 0.7, pairwise_weight: float = 1.0,
@@ -80,9 +80,3 @@ class OpenLDNTrainer(GraphTrainer):
             pseudo_term = confidence_pseudo_label_loss(logits1, pseudo, mask)
             loss = loss + pseudo_term * self.pseudo_weight
         return loss
-
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        """End-to-end prediction with the classification head."""
-        return self.predict_with_head(num_novel_classes, seed, embeddings)

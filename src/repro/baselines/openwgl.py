@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult
 from ..core.losses import cross_entropy_loss
 from ..core.registry import register_method
 from ..core.trainer import GraphTrainer
@@ -85,29 +84,11 @@ class OpenWGLTrainer(GraphTrainer):
                 accumulated = confidence if accumulated is None else accumulated + confidence
         return accumulated / num_samples
 
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        if embeddings is None:
-            embeddings = self.node_embeddings()
-        num_novel = (
-            num_novel_classes if num_novel_classes is not None else self.label_space.num_novel
-        )
-        seed = self.config.seed if seed is None else seed
-
+    def own_predictions(self, embeddings: np.ndarray) -> np.ndarray:
+        """Seen-class prediction by the head; uncertain nodes clustered by K-Means."""
         confidence = self._mean_confidence(self.num_uncertainty_samples)
         test_nodes = self.dataset.split.test_nodes
         threshold = np.quantile(confidence[test_nodes], self.rejection_quantile)
-        is_ood = confidence < threshold
-        is_ood[self.dataset.split.train_nodes] = False
-        is_ood[self.dataset.split.val_nodes] = False
-
         logits = embeddings @ self.head.linear.weight.data
-        internal = logits[:, : self.label_space.num_seen].argmax(axis=1)
-        ood_nodes = np.where(is_ood)[0]
-        if ood_nodes.shape[0] >= num_novel and num_novel > 0:
-            clusters = self.clustering_engine.cluster(
-                embeddings[ood_nodes], num_novel, seed=seed, n_init=1).labels
-            internal[ood_nodes] = self.label_space.num_seen + clusters
-        predictions = self.label_space.to_original(internal)
-        return self.with_clusters(predictions, embeddings, num_novel, seed)
+        return self.cluster_rejected(logits[:, : self.label_space.num_seen].argmax(axis=1),
+                                     confidence < threshold, embeddings)

@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult
 from ..core.losses import (
     entropy_regularization,
     margin_cross_entropy_loss,
@@ -48,6 +47,7 @@ class ORCATrainer(GraphTrainer):
 
     method_name = "ORCA"
     use_margin = True
+    predicts_with_head = True
 
     def __init__(self, dataset: OpenWorldDataset, config: Optional[TrainerConfig] = None,
                  margin_scale: float = 1.0, entropy_weight: float = 0.1,
@@ -93,12 +93,6 @@ class ORCATrainer(GraphTrainer):
         if self.entropy_weight > 0:
             loss = loss + entropy_regularization(probabilities) * self.entropy_weight
         return loss
-
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        """End-to-end prediction with the classification head."""
-        return self.predict_with_head(num_novel_classes, seed, embeddings)
 
 
 @register_method(

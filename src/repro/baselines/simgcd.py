@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from ..core.config import TrainerConfig
-from ..core.inference import InferenceResult
 from ..core.losses import (
     cross_entropy_loss,
     entropy_regularization,
@@ -39,6 +38,7 @@ class SimGCDTrainer(GraphTrainer):
     """SimGCD with the GAT encoder in place of the pre-trained ViT."""
 
     method_name = "SimGCD"
+    predicts_with_head = True
 
     def __init__(self, dataset: OpenWorldDataset, config: Optional[TrainerConfig] = None,
                  distill_temperature: float = 0.1, entropy_weight: float = 1.0,
@@ -79,9 +79,3 @@ class SimGCDTrainer(GraphTrainer):
         probabilities = F.softmax(logits1, axis=-1)
         loss = loss + entropy_regularization(probabilities) * self.entropy_weight
         return loss
-
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        """End-to-end prediction with the classification head."""
-        return self.predict_with_head(num_novel_classes, seed, embeddings)

@@ -219,8 +219,7 @@ class ClusteringEngine:
     # ------------------------------------------------------------------
     def cluster(self, embeddings: np.ndarray, num_clusters: int,
                 seed: Optional[int] = None, n_init: Optional[int] = None,
-                mini_batch: bool = False,
-                initial_centers: Optional[np.ndarray] = None) -> KMeansResult:
+                mini_batch: bool = False) -> KMeansResult:
         """One-shot clustering under the configured strategy.
 
         Deterministic in ``seed`` (default: the trainer's seed) and
@@ -236,11 +235,11 @@ class ClusteringEngine:
         rng = np.random.default_rng(seed)
         strategy = self.config.strategy
         if strategy == "exact":
-            return self._exact_fit(data, num_clusters, initial_centers,
+            return self._exact_fit(data, num_clusters, None,
                                    seed=seed, n_init=n_init, mini_batch=mini_batch)
         if strategy == "minibatch":
-            return self._minibatch_fit(data, num_clusters, initial_centers, rng)
-        result, _ = self._online_fit(data, num_clusters, initial_centers, None, rng)
+            return self._minibatch_fit(data, num_clusters, None, rng)
+        result, _ = self._online_fit(data, num_clusters, None, None, rng)
         return result
 
     # ------------------------------------------------------------------

@@ -23,21 +23,19 @@ from .labels import LabelSpace
 
 @dataclass
 class InferenceResult:
-    """Predictions produced by the two-stage inference procedure.
+    """Predictions plus the two-stage clustering they were read against.
 
     ``predictions`` contains a class id per node (all nodes of the graph):
-    original seen class ids for clusters aligned with seen classes, and
-    synthetic novel ids (>= max class id + 1) for the rest.
+    original seen class ids, and synthetic novel ids (>= max class id + 1)
+    for the rest.  :func:`two_stage_predict` reads them off the aligned
+    clusters; a method with its own rule (the head, OOD rejection) replaces
+    them and keeps ``cluster_result`` and ``alignment``.
     """
 
     predictions: np.ndarray
     cluster_result: KMeansResult
     alignment: ClusterAlignment
     label_space: LabelSpace
-
-    def test_predictions(self, dataset: OpenWorldDataset) -> np.ndarray:
-        """Predictions restricted to the dataset's test nodes."""
-        return self.predictions[dataset.split.test_nodes]
 
 
 def two_stage_predict(

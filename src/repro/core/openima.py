@@ -27,7 +27,6 @@ from ..datasets.splits import OpenWorldDataset
 from ..nn import functional as F
 from ..nn.tensor import Tensor
 from .config import OpenIMAConfig, TrainerConfig
-from .inference import InferenceResult
 from .losses import (
     bpcl_loss,
     cross_entropy_loss,
@@ -221,17 +220,16 @@ class OpenIMATrainer(GraphTrainer):
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        """Two-stage inference (default) or head-based inference (large graphs)."""
-        if not self.openima_config.large_scale:
-            return super().predict(num_novel_classes=num_novel_classes, seed=seed,
-                                   embeddings=embeddings)
-        # The large-scale profile clusters with MiniBatch-KMeans (paper
-        # Section V); predictions come from the head.
-        return self.predict_with_head(num_novel_classes, seed, embeddings,
-                                      mini_batch=True)
+    @property
+    def predicts_with_head(self) -> bool:
+        """Two-stage inference by default; the head on large graphs.
+
+        The large-scale profile predicts with the classification head and
+        clusters with MiniBatch-KMeans (paper Section V).
+        """
+        return self.openima_config.large_scale
+
+    mini_batch_clusters = predicts_with_head
 
 
 def train_openima(dataset: OpenWorldDataset, config: Optional[OpenIMAConfig] = None

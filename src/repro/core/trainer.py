@@ -1,10 +1,12 @@
 """Shared training-loop infrastructure for OpenIMA and every baseline.
 
 :class:`GraphTrainer` owns the GNN encoder, the classification head, the Adam
-optimizer, mini-batch sampling, and the evaluation helpers.  Subclasses only
+optimizer, mini-batch sampling, and the evaluation helpers.  Subclasses
 implement :meth:`compute_loss`, which receives the two augmented views of the
 current batch (dropout applied twice to the same input, the SimCSE recipe the
-paper follows) and returns a scalar loss tensor.
+paper follows) and returns a scalar loss tensor.  They declare their
+prediction rule instead of writing a ``predict``: :attr:`predicts_with_head`,
+:attr:`mini_batch_clusters`, or an :meth:`own_predictions` override.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ class GraphTrainer:
 
     #: Human-readable method name, overridden by subclasses (used in tables).
     method_name = "base"
+    #: Prediction rule: the classification head's argmax (end-to-end
+    #: methods) instead of the two-stage clusters.
+    predicts_with_head = False
+    #: Cluster the two-stage step with Sculley MiniBatch-KMeans instead of
+    #: Lloyd K-Means.
+    mini_batch_clusters = False
 
     def __init__(self, dataset: OpenWorldDataset, config: TrainerConfig,
                  num_novel_classes: Optional[int] = None):
@@ -316,62 +324,42 @@ class GraphTrainer:
         self.config = self.config.with_updates(clustering=clustering)
         self.clustering_engine = ClusteringEngine(clustering, seed=self.config.seed)
 
-    def predict(self, num_novel_classes: Optional[int] = None,
-                seed: Optional[int] = None,
-                embeddings: Optional[np.ndarray] = None) -> InferenceResult:
-        """Two-stage prediction over the current (or provided) embeddings."""
-        if embeddings is None:
-            embeddings = self.node_embeddings()
-        return self._two_stage(embeddings, num_novel_classes, seed)
+    def predict(self, embeddings: Optional[np.ndarray] = None) -> InferenceResult:
+        """Predict every node over the current (or provided) embeddings.
 
-    def predict_with_head(self, num_novel_classes: Optional[int] = None,
-                          seed: Optional[int] = None,
-                          embeddings: Optional[np.ndarray] = None,
-                          mini_batch: bool = False) -> InferenceResult:
-        """Predict with the classification head's argmax (end-to-end methods).
-
-        The result still carries the two-stage clusters (see
-        :meth:`with_clusters`); ``mini_batch`` picks how they are computed.
+        Every method runs the two-stage step once (K-Means over all nodes
+        plus Hungarian alignment, paper Section IV-B) with the trainer's
+        clustering engine, seed and label space; :attr:`mini_batch_clusters`
+        picks the K-Means algorithm.  Its cluster labels and alignment stay
+        on the result for the consumers that read them (SC&ACC's silhouette,
+        the served ``cluster`` field).  The predictions are the two-stage
+        ones unless :meth:`own_predictions` returns the method's own.
         """
         if embeddings is None:
             embeddings = self.node_embeddings()
-        predictions = head_predict(embeddings, self.head.linear.weight.data,
-                                   self.label_space)
-        return self.with_clusters(predictions, embeddings, num_novel_classes, seed,
-                                  mini_batch=mini_batch)
-
-    def with_clusters(self, predictions: np.ndarray, embeddings: np.ndarray,
-                      num_novel_classes: Optional[int] = None,
-                      seed: Optional[int] = None,
-                      mini_batch: bool = False) -> InferenceResult:
-        """A method's own ``predictions`` plus the two-stage clusters of ``embeddings``.
-
-        Methods that predict by their own rule (the head, OOD rejection)
-        keep the cluster labels and alignment that :meth:`predict` computes,
-        for the consumers that read them: SC&ACC's silhouette and the served
-        ``cluster`` field.
-        """
-        two_stage = self._two_stage(embeddings, num_novel_classes, seed,
-                                    mini_batch=mini_batch)
-        return InferenceResult(
-            predictions=predictions,
-            cluster_result=two_stage.cluster_result,
-            alignment=two_stage.alignment,
-            label_space=self.label_space,
-        )
-
-    def _two_stage(self, embeddings: np.ndarray, num_novel_classes: Optional[int],
-                   seed: Optional[int], mini_batch: bool = False) -> InferenceResult:
-        return two_stage_predict(
+        result = two_stage_predict(
             embeddings,
             self.dataset,
-            num_novel_classes=(
-                num_novel_classes if num_novel_classes is not None else self.label_space.num_novel
-            ),
-            seed=self.config.seed if seed is None else seed,
-            mini_batch=mini_batch,
+            num_novel_classes=self.label_space.num_novel,
+            seed=self.config.seed,
+            mini_batch=self.mini_batch_clusters,
             engine=self.clustering_engine,
         )
+        predictions = self.own_predictions(embeddings)
+        if predictions is not None:
+            result.predictions = predictions
+        return result
+
+    def own_predictions(self, embeddings: np.ndarray) -> Optional[np.ndarray]:
+        """The method's own prediction rule, or ``None`` for the two-stage one.
+
+        The default is the head's argmax when :attr:`predicts_with_head` is
+        set.  The OOD-rejection baselines override it (see
+        :meth:`cluster_rejected`).
+        """
+        if not self.predicts_with_head:
+            return None
+        return head_predict(embeddings, self.head.linear.weight.data, self.label_space)
 
     def accuracy_of(self, result: InferenceResult) -> OpenWorldAccuracy:
         """Open-world accuracy of an inference result on the test nodes.
@@ -387,31 +375,43 @@ class GraphTrainer:
             self.dataset.split.seen_classes,
         )
 
-    def evaluate(self, num_novel_classes: Optional[int] = None,
-                 embeddings: Optional[np.ndarray] = None) -> OpenWorldAccuracy:
+    def evaluate(self, embeddings: Optional[np.ndarray] = None) -> OpenWorldAccuracy:
         """Open-world accuracy on the test nodes.
 
         ``embeddings`` replaces the encoder's pass (the cache already
         de-duplicates repeat forwards, so this is only needed for edited
         embeddings).
         """
-        return self.accuracy_of(self.predict(num_novel_classes=num_novel_classes,
-                                             embeddings=embeddings))
-
-    def validation_accuracy(self, embeddings: Optional[np.ndarray] = None) -> float:
-        """Clustering accuracy on the validation nodes (used by SC&ACC)."""
-        result = self.predict(embeddings=embeddings)
-        val_nodes = self.dataset.split.val_nodes
-        accuracy = open_world_accuracy(
-            result.predictions[val_nodes],
-            self.dataset.labels[val_nodes],
-            self.dataset.split.seen_classes,
-        )
-        return accuracy.overall
+        return self.accuracy_of(self.predict(embeddings=embeddings))
 
     # ------------------------------------------------------------------
     # Shared building blocks for subclasses
     # ------------------------------------------------------------------
+    def cluster_rejected(self, seen_internal: np.ndarray, rejected: np.ndarray,
+                         embeddings: np.ndarray) -> np.ndarray:
+        """Seen-class predictions with the rejected nodes clustered as novel.
+
+        The OOD-rejection rule of the † baselines: ``seen_internal`` holds
+        each node's internal seen-class prediction and ``rejected`` marks
+        the nodes detected as out of distribution.  Train and val nodes are
+        never rejected.  When there are at least as many rejected nodes as
+        novel classes, K-Means (one restart, at the trainer's seed) splits
+        them into the novel classes.  Returns original class ids.
+        """
+        split = self.dataset.split
+        rejected = np.array(rejected, dtype=bool)
+        rejected[split.train_nodes] = False
+        rejected[split.val_nodes] = False
+        internal = np.array(seen_internal, dtype=np.int64)
+        rejected_nodes = np.flatnonzero(rejected)
+        num_novel = self.label_space.num_novel
+        if rejected_nodes.shape[0] >= num_novel and num_novel > 0:
+            clusters = self.clustering_engine.cluster(
+                embeddings[rejected_nodes], num_novel, seed=self.config.seed,
+                n_init=1).labels
+            internal[rejected_nodes] = self.label_space.num_seen + clusters
+        return self.label_space.to_original(internal)
+
     def batch_manual_labels(self, batch_nodes: np.ndarray) -> np.ndarray:
         """Internal labels of the batch's labeled nodes, -1 elsewhere."""
         return self._train_label_lookup[batch_nodes]

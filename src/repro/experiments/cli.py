@@ -119,10 +119,10 @@ def _add_experiment_subparser(subparsers, name: str, help_text: str) -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0],
                         help="split seeds to average over (default: 0)")
     parser.add_argument("--n-jobs", type=int, default=1,
-                        help="workers running the method x dataset x seed "
-                             "grid cells; 0 = all cores, 1 = serial "
-                             "(default: 1); results are bit-identical to "
-                             "serial at any setting")
+                        help="workers running one (method, dataset) pair's "
+                             "seed cells at a time; 0 = all cores, 1 = serial "
+                             "(default: 1); one seed runs serially; results "
+                             "are bit-identical to serial at any setting")
     parser.set_defaults(handler=_handle_experiment)
 
 
@@ -279,30 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     list_datasets.add_argument("--output", type=str, default=None,
                                help="optional path for a JSON copy of the listing")
     list_datasets.set_defaults(handler=_handle_list_datasets)
-
-    # -- observability ------------------------------------------------
-    obs_parser = subparsers.add_parser(
-        "obs", help="inspect the in-process observability state: metric "
-                    "registry summary, JSONL export, or a flame-style "
-                    "trace report")
-    obs_parser.add_argument(
-        "action", choices=("summary", "export", "trace-report"),
-        help="summary: one JSON snapshot of metrics/tracing/events; "
-             "export: every metric sample, span, and event as JSONL; "
-             "trace-report: aggregated per-path span profile")
-    obs_parser.add_argument(
-        "--jsonl", type=str, default=None, metavar="PATH",
-        help="for export: write the JSONL rows to PATH instead of stdout")
-    obs_parser.add_argument(
-        "--prometheus", action="store_true",
-        help="for summary: print the Prometheus text exposition instead "
-             "of JSON")
-    obs_parser.add_argument(
-        "--top", type=int, default=None, metavar="N",
-        help="for trace-report: keep only the N hottest root span trees")
-    obs_parser.add_argument("--output", type=str, default=None,
-                            help="optional path for a JSON copy of the result")
-    obs_parser.set_defaults(handler=_handle_obs)
 
     # -- static analysis ----------------------------------------------
     from ..analysis.cli import add_lint_options
@@ -773,39 +749,6 @@ def _handle_lint(args: argparse.Namespace) -> dict:
     except (ValueError, FileNotFoundError) as exc:
         raise SystemExit(f"repro lint: error: {exc}") from exc
     raise SystemExit(code)
-
-
-def _handle_obs(args: argparse.Namespace) -> dict:
-    """``repro obs {summary,export,trace-report}``.
-
-    Operates on this process's :mod:`repro.obs` singletons — useful
-    programmatically (``main(["obs", "summary"])`` after training in the
-    same interpreter) and as the post-mortem surface for long-lived
-    commands that enable tracing via ``REPRO_OBS=1``.
-    """
-    from .. import obs
-
-    if args.action == "summary":
-        summary = obs.summary()
-        report = (obs.REGISTRY.render_prometheus() if args.prometheus
-                  else json.dumps(summary, indent=2, sort_keys=True))
-        return {"report": report, **summary}
-    if args.action == "trace-report":
-        return {"report": obs.TRACER.flame_report(top=args.top),
-                "tracing": obs.TRACER.stats()}
-    rows = list(obs.REGISTRY.export_rows())
-    rows.extend({"record": "span", **record}
-                for record in obs.TRACER.records())
-    rows.extend({"record": "event", **event}
-                for event in obs.EVENTS.snapshot())
-    text = "\n".join(json.dumps(row, sort_keys=True, default=str)
-                     for row in rows)
-    if args.jsonl:
-        with open(args.jsonl, "w") as handle:
-            handle.write(text + ("\n" if text else ""))
-        return {"report": f"wrote {len(rows)} records to {args.jsonl}",
-                "records": len(rows), "path": args.jsonl}
-    return {"report": text, "records": len(rows)}
 
 
 def _handle_experiment(args: argparse.Namespace) -> dict:

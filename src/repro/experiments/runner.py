@@ -116,10 +116,14 @@ class ExperimentConfig(SerializableConfig):
     (``full`` / ``khop`` / ``sampled``, see
     :class:`repro.core.config.SamplingConfig`).
 
-    ``n_jobs`` != 1 runs the method x dataset x seed grid cells on a
-    process pool; ``0`` means every usable core.  Each cell is seeded
-    entirely by its own ``(method, dataset, seed)``, so cells are
-    independent and the grid result is bit-identical to the serial loop.
+    ``n_jobs`` != 1 runs the cells of one :func:`run_method` or
+    :func:`run_methods` call on a process pool; ``0`` means every usable
+    core.  The table and figure builders call :func:`run_method` once per
+    (method, dataset) pair, Table V variant or Figure 2 setting, so a pool
+    spans that call's seeds only: with one seed it runs serially, and
+    Table VII trains without the pool.  Each cell is seeded entirely by its
+    own ``(method, dataset, seed)``, so cells are independent and the grid
+    result is bit-identical to the serial loop.
     """
 
     scale: float = 0.35

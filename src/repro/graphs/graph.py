@@ -214,6 +214,21 @@ class Graph:
         # bump as the "a delta was applied here" signal.
         self.invalidate_caches()
 
+    def undo_deltas(self, num_nodes: int, num_edges: int, cache_version: int) -> None:
+        """Undo every :meth:`apply_delta` since the graph had ``num_nodes``
+        nodes, ``num_edges`` edges and :attr:`cache_version` ``cache_version``.
+
+        :meth:`apply_delta` only appends, so this keeps the leading rows and
+        edges and puts that version back: caches keyed on it (the embedding
+        cache, serving snapshots) describe this graph again.
+        """
+        self.features = self.features[:num_nodes].copy()
+        if self.labels is not None:
+            self.labels = self.labels[:num_nodes].copy()
+        self.edge_index = self.edge_index[:, :num_edges].copy()
+        self.invalidate_caches()
+        self._cache_version = int(cache_version)
+
     def copy(self) -> "Graph":
         """Deep copy of the graph (caches are not copied)."""
         return Graph(

@@ -178,6 +178,16 @@ class EmbeddingCache:
                 return entry[3], entry[2]
             return None
 
+    def entry(self) -> Optional[_CacheEntry]:
+        """The current entry, for :meth:`restore` to put back."""
+        with self._lock:
+            return self._entry
+
+    def restore(self, entry: Optional[_CacheEntry]) -> None:
+        """Put back an entry taken by :meth:`entry` (the counters are kept)."""
+        with self._lock:
+            self._entry = entry
+
     def invalidate(self) -> None:
         """Drop the cached entry (the hit/miss counters are kept)."""
         with self._lock:

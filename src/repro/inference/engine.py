@@ -8,8 +8,8 @@ all-node embeddings.  It owns
   ``auto`` switching on graph size), and
 * the :class:`~repro.inference.cache.EmbeddingCache`, so every consumer of
   the same parameter state — pseudo-label refresh, ``EvaluationCallback``,
-  ``validation_accuracy``, ``predict`` — shares one embedding pass instead
-  of recomputing 2-4x per epoch.
+  ``evaluate``, ``predict`` — shares one embedding pass instead of
+  recomputing 2-4x per epoch.
 
 ``forward_count`` counts *actual* encoder passes (cache hits excluded),
 which is what the one-forward-per-evaluation-epoch tests assert on.

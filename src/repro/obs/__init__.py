@@ -127,7 +127,7 @@ def span(name: str, **attrs):
 
 
 def summary() -> dict:
-    """One JSON-able snapshot of all three singletons (``repro obs summary``)."""
+    """One JSON-able snapshot of all three singletons (``/stats["obs"]``)."""
     return {
         "enabled": _enabled,
         "metrics": REGISTRY.summary(),

@@ -8,7 +8,7 @@ buffer of ``{ts, level, source, message, ...}`` records with per-level
 counters, cheap enough to leave on permanently and bounded so a chatty
 debug source can never grow memory.
 
-Read it back via ``ModelServer.stats()["obs"]``, ``repro obs summary``, or
+Read it back via ``GET /stats`` (``ModelServer.stats()["obs"]``) or
 directly::
 
     from repro import obs

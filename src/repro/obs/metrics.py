@@ -29,7 +29,7 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default histogram buckets (upper bounds, seconds): factor-of-two
 #: log-scale from 50 µs to ~6.5 s.  18 buckets bound the relative error of
@@ -110,7 +110,7 @@ class Metric:
         raise NotImplementedError
 
     def summary(self) -> dict:
-        """JSON-able snapshot (used by ``/stats`` and ``repro obs``)."""
+        """JSON-able snapshot (used by ``/stats``)."""
         raise NotImplementedError
 
 
@@ -417,15 +417,3 @@ class MetricsRegistry:
                 continue
             report[metric.name] = metric.summary()
         return report
-
-    def export_rows(self) -> Iterable[dict]:
-        """Flat sample rows for JSONL export (``repro obs export``)."""
-        for metric in self.collect():
-            for suffix, labelnames, labelvalues, value in metric.samples():
-                yield {
-                    "record": "metric",
-                    "name": metric.name + suffix,
-                    "kind": metric.kind,
-                    "labels": dict(zip(labelnames, labelvalues, strict=True)),
-                    "value": value,
-                }

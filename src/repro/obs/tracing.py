@@ -16,10 +16,10 @@ thread name, and free-form attributes.
 Two export shapes:
 
 * :meth:`Tracer.export_jsonl` — one JSON object per completed span, for
-  offline analysis (``repro obs export --jsonl``);
+  offline analysis;
 * :meth:`Tracer.flame_report` — an aggregated, flame-graph-style text table
   (per unique path: calls, total, self, and a proportional bar), for a
-  terminal-sized profile (``repro obs trace-report``).
+  terminal-sized profile.
 
 The tracer is allocation-light but not free: the module-level
 :func:`repro.obs.span` fast path returns a shared no-op context manager

@@ -115,7 +115,7 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # stdlib signature
         # Printing would drown the benchmark output, but discarding made
         # 4xx/5xx undiagnosable — route into the bounded obs event log
-        # instead (queryable via /stats and `repro obs summary`).
+        # instead (read back through GET /stats).
         EVENTS.debug(format % args, source="serve.http",
                      client=self.client_address[0])
 

@@ -104,6 +104,12 @@ class ServingSnapshot:
         return payloads
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    """Refuse to publish ``values`` that overflowed (finite features can)."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"the model computes non-finite {name} on this graph")
+
+
 class PredictionService:
     """Owns a fitted :class:`OpenWorldClassifier` and serves query snapshots.
 
@@ -181,8 +187,10 @@ class PredictionService:
         trainer = self._trainer
         param_counter, graph_version = self._current_version()
         embeddings = trainer.node_embeddings()
+        _require_finite(embeddings, "embeddings")
         result = trainer.predict(embeddings=embeddings)
         logits = trainer.head_logits(embeddings=embeddings)
+        _require_finite(logits, "head logits")
         label_space = result.label_space
         known_logits = np.ascontiguousarray(logits[:, :label_space.num_seen])
         known_logits.setflags(write=False)
@@ -233,23 +241,42 @@ class PredictionService:
         for it: :meth:`snapshot` returns the previous immutable snapshot
         until the swap, so a node the delta adds is out of range
         (``IndexError``) until then.
+
+        All or nothing: when a delta fails after the graph is touched (say,
+        finite features so large that the encoder overflows, which the
+        snapshot build rejects as non-finite), the graph, the embedding-cache
+        entry and the published snapshot are left as they were, and the
+        error propagates.
         """
         # Imported lazily: repro.streaming builds on repro.inference, which
         # this package already imports at module level.
         from ..streaming import DynamicGraph
 
         trainer = self._trainer
+        graph = trainer.dataset.graph
+        cache = trainer.inference_engine.cache
         with self._lock:
-            if self._dynamic is None or self._dynamic.graph is not trainer.dataset.graph:
+            if self._dynamic is None or self._dynamic.graph is not graph:
                 depth = getattr(trainer.encoder, "num_message_passing_layers", 2)
-                self._dynamic = DynamicGraph(trainer.dataset.graph,
-                                             num_hops=int(depth))
-            report = self._dynamic.apply(delta)
-            trainer.inference_engine.refresh_after_delta(
-                trainer.encoder, trainer.dataset.graph, report)
+                self._dynamic = DynamicGraph(graph, num_hops=int(depth))
+            num_nodes, num_edges, version = (graph.num_nodes, graph.num_edges,
+                                             graph.cache_version)
+            entry = cache.entry()
+            try:
+                report = self._dynamic.apply(delta)
+                trainer.inference_engine.refresh_after_delta(
+                    trainer.encoder, graph, report)
+                snapshot = self._build_snapshot()
+            except BaseException:
+                if graph.cache_version != version:
+                    graph.undo_deltas(num_nodes, num_edges, version)
+                    cache.restore(entry)
+                    # Its CSR and degrees describe the rejected graph; the
+                    # next delta rebuilds it from the restored one.
+                    self._dynamic = None
+                raise
             self.deltas_applied += 1
             _DELTAS_APPLIED.inc()
-            snapshot = self._build_snapshot()
             self._snapshot = snapshot
         summary = report.describe()
         summary["model_version"] = snapshot.version

@@ -70,11 +70,6 @@ class TestTwoStagePredict:
         with pytest.raises(ValueError):
             two_stage_predict(dataset.graph.features[:10], dataset)
 
-    def test_test_predictions_helper(self):
-        dataset = ideal_dataset()
-        result = two_stage_predict(dataset.graph.features, dataset, seed=0)
-        assert result.test_predictions(dataset).shape[0] == dataset.split.test_nodes.shape[0]
-
     def test_mini_batch_kmeans_path(self):
         dataset = ideal_dataset()
         result = two_stage_predict(dataset.graph.features, dataset, seed=0, mini_batch=True)

@@ -17,7 +17,6 @@ from repro.core.config import (
     TrainerConfig,
     fast_config,
 )
-from repro.core.inference import head_predict, two_stage_predict
 from repro.core.openima import OpenIMATrainer
 from repro.core.trainer import GraphTrainer, TrainingHistory
 
@@ -108,11 +107,6 @@ class TestGraphTrainer:
         assert 0.0 <= accuracy.seen <= 1.0
         assert 0.0 <= accuracy.novel <= 1.0
 
-    def test_validation_accuracy_in_range(self, small_dataset, tiny_trainer_config):
-        trainer = InfoNCETrainer(small_dataset, tiny_trainer_config)
-        trainer.fit()
-        assert 0.0 <= trainer.validation_accuracy() <= 1.0
-
     def test_eval_every_records_snapshots(self, small_dataset):
         config = fast_config(max_epochs=2, encoder_kind="gcn").with_updates(eval_every=1)
         trainer = InfoNCETrainer(small_dataset, config)
@@ -133,32 +127,6 @@ class TestGraphTrainer:
         assert logits.shape == (
             small_dataset.graph.num_nodes, trainer.label_space.num_total
         )
-
-    def test_with_clusters_keeps_predictions_and_attaches_two_stage_clusters(
-            self, small_dataset, tiny_trainer_config):
-        trainer = InfoNCETrainer(small_dataset, tiny_trainer_config)
-        embeddings = trainer.node_embeddings()
-        predictions = np.arange(small_dataset.graph.num_nodes) % 3
-        result = trainer.with_clusters(predictions, embeddings, seed=3)
-        expected = two_stage_predict(embeddings, small_dataset, seed=3)
-        assert result.predictions is predictions
-        assert result.label_space is trainer.label_space
-        assert np.array_equal(result.cluster_result.labels, expected.cluster_result.labels)
-        assert np.array_equal(result.cluster_result.centers, expected.cluster_result.centers)
-        assert result.alignment.mapping == expected.alignment.mapping
-
-    def test_predict_with_head_takes_head_argmax_and_mini_batch_clusters(
-            self, small_dataset, tiny_trainer_config):
-        trainer = InfoNCETrainer(small_dataset, tiny_trainer_config)
-        embeddings = trainer.node_embeddings()
-        result = trainer.predict_with_head(seed=3, embeddings=embeddings, mini_batch=True)
-        expected = head_predict(embeddings, trainer.head.linear.weight.data,
-                                trainer.label_space)
-        assert np.array_equal(result.predictions, expected)
-        mini = two_stage_predict(embeddings, small_dataset, seed=3, mini_batch=True)
-        exact = two_stage_predict(embeddings, small_dataset, seed=3)
-        assert np.array_equal(result.cluster_result.centers, mini.cluster_result.centers)
-        assert not np.array_equal(result.cluster_result.centers, exact.cluster_result.centers)
 
     def test_trailing_remainder_folded_into_last_batch(self, small_dataset):
         # 160 nodes with batch_size 53 leaves a remainder of 1, which used to

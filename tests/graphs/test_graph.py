@@ -166,6 +166,29 @@ class TestAttentionEdges:
         np.testing.assert_array_equal(encoder.embed(graph), encoder.embed(graph.copy()))
 
 
+class TestUndoDeltas:
+    def test_restores_fields_and_version_and_drops_caches(self):
+        from repro.graphs.delta import GraphDelta
+
+        graph = make_triangle_graph()
+        before = graph.copy()
+        version = graph.cache_version
+        graph.apply_delta(GraphDelta(add_features=np.eye(3)[:2],
+                                     add_edges=np.array([[3, 0, 4], [0, 3, 1]]),
+                                     add_labels=np.array([1, 0])))
+        graph.apply_delta(GraphDelta(add_features=np.eye(3)[:1],
+                                     add_edges=np.array([[5], [5]])))
+        grown = graph.attention_edges()
+
+        graph.undo_deltas(before.num_nodes, before.num_edges, version)
+        np.testing.assert_array_equal(graph.features, before.features)
+        np.testing.assert_array_equal(graph.edge_index, before.edge_index)
+        np.testing.assert_array_equal(graph.labels, before.labels)
+        assert graph.cache_version == version
+        assert graph.attention_edges() is not grown
+        assert graph.attention_edges().num_targets == before.num_nodes
+
+
 class TestSubgraph:
     def test_subgraph_relabels_nodes(self):
         graph = make_triangle_graph()

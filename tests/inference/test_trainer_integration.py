@@ -28,15 +28,15 @@ def make_config(max_epochs: int = 2, eval_every: int = 0, **inference_kwargs):
 
 class TestForwardCounting:
     def test_one_forward_per_evaluation_epoch(self, small_dataset):
-        """Eval callback + validation accuracy + predict share one forward."""
+        """Eval callback + repeat evaluate/predict share one forward."""
 
         class ExtraConsumers(Callback):
             def on_epoch_end(self, trainer, epoch, logs):
                 # Everything an eval epoch might ask for, on top of the
                 # EvaluationCallback that already ran this epoch.
-                trainer.validation_accuracy()
                 trainer.predict()
                 trainer.evaluate()
+                trainer.predict()
                 trainer.node_embeddings()
 
         trainer = InfoNCETrainer(small_dataset, make_config(eval_every=1))
@@ -50,11 +50,11 @@ class TestForwardCounting:
             small_dataset, OpenIMAConfig(trainer=make_config(max_epochs=1)))
         trainer.fit()
         baseline = trainer.inference_engine.forward_count
-        # No parameter updates from here on: refresh, evaluation, validation
-        # accuracy, prediction, and raw embeddings all reuse one pass.
+        # No parameter updates from here on: refresh, evaluation, repeat
+        # predictions, and raw embeddings all reuse one pass.
         trainer.refresh_pseudo_labels()
         trainer.evaluate()
-        trainer.validation_accuracy()
+        trainer.predict()
         trainer.predict()
         trainer.node_embeddings()
         assert trainer.inference_engine.forward_count == baseline + 1
@@ -74,8 +74,8 @@ class TestForwardCounting:
         trainer.inference_engine.invalidate()  # nothing left to hit
         forwards = trainer.inference_engine.forward_count
         trainer.evaluate(embeddings=embeddings)
-        trainer.validation_accuracy(embeddings=embeddings)
         trainer.predict(embeddings=embeddings)
+        trainer.evaluate(embeddings=embeddings)
         assert trainer.inference_engine.forward_count == forwards
 
     def test_eval_epoch_logs_inference_stats(self, small_dataset):

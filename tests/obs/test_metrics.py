@@ -171,17 +171,3 @@ class TestRegistry:
         assert set(summary) == {"repro_a_total"}
         assert summary["repro_a_total"]["kind"] == "counter"
         assert registry.summary()["other_g"]["values"][""] == 2.0
-
-    def test_export_rows_are_flat_and_json_able(self, registry):
-        import json
-
-        registry.counter("c_total", labelnames=("k",)).inc(k="x")
-        registry.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
-        rows = list(registry.export_rows())
-        names = {row["name"] for row in rows}
-        assert "c_total" in names
-        assert "h_seconds_bucket" in names
-        assert "h_seconds_sum" in names
-        for row in rows:
-            assert row["record"] == "metric"
-            json.dumps(row)  # must not raise

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.api import OpenWorldClassifier
 from repro.graphs import GraphDelta
 from repro.serve import (
     ModelServer,
@@ -32,6 +33,13 @@ def arrival_delta(graph, num_new=1, seed=0):
         add_edges=np.vstack([np.arange(n, n + num_new),
                              rng.integers(n, size=num_new)]),
     )
+
+
+def overflowing_delta(graph):
+    """One node whose finite features of 1e308 overflow inside the encoder."""
+    n = graph.num_nodes
+    return GraphDelta.undirected(add_features=np.full((1, graph.features.shape[1]), 1e308),
+                                 add_edges=[[n], [0]])
 
 
 def outcome_within(call, timeout=2.0):
@@ -126,6 +134,41 @@ class TestServiceApplyDelta:
         with pytest.raises(IndexError):
             old.query([old.num_nodes])
 
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_overflowing_delta_leaves_the_service_as_it_was(self, served_classifier,
+                                                            served_checkpoint):
+        service = PredictionService(served_classifier)
+        service.warm()
+        graph = served_classifier.trainer_.dataset.graph
+        # The snapshot the rejected delta must leave in place comes from a
+        # partial refresh.
+        service.apply_delta(arrival_delta(graph, num_new=2))
+        assert service.stats()["partial_refreshes"] == 1
+        before = service.snapshot()
+        everyone = list(range(graph.num_nodes))
+        answers = service.query(everyone)
+
+        with pytest.raises(ValueError) as excinfo:
+            service.apply_delta(overflowing_delta(graph))
+        assert graph.num_nodes == before.num_nodes
+        assert service.info()["model_version"] == before.version
+        assert service.snapshot() is before
+        assert service.query(everyone) == answers
+        assert service.stats()["deltas_applied"] == 1
+        assert "non-finite embeddings" in str(excinfo.value)
+
+        # A following delta applies as if the rejected one never came.
+        after = service.apply_delta(arrival_delta(graph, seed=1))
+        twin = PredictionService(OpenWorldClassifier.load(served_checkpoint))
+        twin.warm()
+        twin_graph = twin.classifier.trainer_.dataset.graph
+        twin.apply_delta(arrival_delta(twin_graph, num_new=2))
+        expected = twin.apply_delta(arrival_delta(twin_graph, seed=1))
+        assert after["model_version"] == expected["model_version"]
+        for name in ("predictions", "cluster_labels", "known_logits"):
+            np.testing.assert_array_equal(getattr(service.snapshot(), name),
+                                          getattr(twin.snapshot(), name))
+
     def test_query_during_delta_gets_pre_delta_answer(self, served_classifier,
                                                       monkeypatch):
         service = PredictionService(served_classifier)
@@ -215,6 +258,29 @@ class TestHTTPDelta:
         assert summary["new_num_nodes"] == new_node + 1
         assert client.predict(new_node)["node"] == new_node
         assert server.service.snapshot_builds == builds + 1
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_overflowing_delta_gets_400_and_the_server_keeps_serving(self, running_server):
+        classifier, _, client = running_server
+        graph = classifier.trainer_.dataset.graph
+        n = graph.num_nodes
+        row = [0.5] * graph.features.shape[1]
+        client.apply_delta(features=[row, row], edges=[[n, n + 1], [0, 1]])
+        assert client.stats()["service"]["partial_refreshes"] == 1
+        health = client.health()
+        everyone = list(range(n + 2))
+        answers = client.predict_batch(everyone)
+
+        with pytest.raises(ServeClientError) as excinfo:
+            client.apply_delta(features=[[1e308] * len(row)], edges=[[n + 2], [0]])
+        assert excinfo.value.status == 400
+        assert client.health() == health
+        assert client.predict_batch(everyone) == answers
+        assert "non-finite embeddings" in str(excinfo.value)
+
+        summary = client.apply_delta(features=[row], edges=[[n + 2], [3]])
+        assert summary["deltas_applied"] == 2
+        assert client.health()["num_nodes"] == n + 3
 
     def test_timed_out_delta_is_not_sent_again(self, running_server, monkeypatch):
         """A client timeout must not re-send ``POST /delta``: the server may
