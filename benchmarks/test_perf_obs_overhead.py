@@ -52,14 +52,14 @@ def serving_fixture() -> dict:
     clf.save(ckpt)
     served = OpenWorldClassifier.load(ckpt)
     server = ModelServer(PredictionService(served),
-                         ServeConfig(port=0, batch_window_ms=1.0))
+                         ServeConfig(port=0))
     server.serve_in_background()
     client = ServeClient(port=server.port)
     client.wait_until_ready(timeout=30)
     _state.update(server=server, client=client,
                   num_nodes=served.trainer_.dataset.graph.num_nodes)
     _report(f"model: openima on citeseer scale={TRAIN_SCALE} "
-            f"({_state['num_nodes']} nodes), batch_window=1ms")
+            f"({_state['num_nodes']} nodes)")
     return _state
 
 

@@ -71,17 +71,25 @@ class OpenWGLTrainer(GraphTrainer):
         return loss
 
     def _mean_confidence(self, num_samples: int) -> np.ndarray:
-        """Maximum seen-class probability averaged over stochastic passes."""
+        """Maximum seen-class probability averaged over stochastic passes.
+
+        The dropout noise comes from the trainer's generator, whose state is
+        put back afterwards, so a prediction never moves the training stream.
+        """
         accumulated = None
+        state = self.rng.bit_generator.state
         # Dropout stays active for uncertainty sampling.
-        with self.encoder.training_mode(True), no_grad():
-            for _ in range(num_samples):
-                embeddings = self.encoder(self.dataset.graph).numpy()
-                logits = embeddings @ self.head.linear.weight.data
-                seen = logits[:, : self.label_space.num_seen]
-                probabilities = F.row_softmax(seen)
-                confidence = probabilities.max(axis=1)
-                accumulated = confidence if accumulated is None else accumulated + confidence
+        try:
+            with self.encoder.training_mode(True), no_grad():
+                for _ in range(num_samples):
+                    embeddings = self.encoder(self.dataset.graph).numpy()
+                    logits = embeddings @ self.head.linear.weight.data
+                    seen = logits[:, : self.label_space.num_seen]
+                    probabilities = F.row_softmax(seen)
+                    confidence = probabilities.max(axis=1)
+                    accumulated = confidence if accumulated is None else accumulated + confidence
+        finally:
+            self.rng.bit_generator.state = state
         return accumulated / num_samples
 
     def own_predictions(self, embeddings: np.ndarray) -> np.ndarray:

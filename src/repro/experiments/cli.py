@@ -21,11 +21,11 @@ inference bounds peak memory on large graphs)::
         --predictions-npz pred.npz --output pred.json
 
 Serve predictions from that checkpoint over HTTP (loads once, keeps the
-embedding cache warm, coalesces concurrent queries; Ctrl-C / SIGTERM shuts
-down gracefully)::
+embedding cache warm, coalesces the queries that queue during one model call
+into the next; Ctrl-C / SIGTERM shuts down gracefully)::
 
     python -m repro.experiments.cli serve runs/openima-citeseer \
-        --port 8741 --batch-window-ms 2 --set inference.mode=layerwise
+        --port 8741 --set inference.mode=layerwise
 
 Replay a dataset as a prequential open-world stream — the base model trains
 on a subgraph, the rest (including a withheld novel class) arrives as graph
@@ -213,10 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="interface to bind (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8741,
                        help="port to bind; 0 picks a free port (default: 8741)")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="micro-batch window: concurrent queries arriving "
-                            "within this many ms share one model call "
-                            "(default: 2.0; 0 disables waiting)")
     serve.add_argument("--max-batch", type=int, default=1024,
                        help="maximum nodes per coalesced batch (default: 1024)")
     serve.add_argument("--no-warm", action="store_true",
@@ -537,7 +533,6 @@ def _run_server(args: argparse.Namespace) -> dict:
     config = ServeConfig(
         host=args.host,
         port=args.port,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         warm=not args.no_warm,
     )

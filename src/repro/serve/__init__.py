@@ -5,10 +5,11 @@ checkpoint is loaded **once** into a
 :class:`~repro.serve.service.PredictionService` (the single writer of model
 state), which publishes immutable :class:`~repro.serve.service.ServingSnapshot`
 objects that any number of request threads read concurrently.  On top of
-that sit a :class:`~repro.serve.coalescer.RequestCoalescer` (micro-batches
-concurrent queries arriving within a small window into one model call), a
-stdlib-HTTP :class:`~repro.serve.server.ModelServer` with graceful
-SIGINT/SIGTERM shutdown, and a :class:`~repro.serve.client.ServeClient`.
+that sit a :class:`~repro.serve.coalescer.RequestCoalescer` (answers a query
+at once when idle, and coalesces the queries that queue during one model call
+into the next), a stdlib-HTTP :class:`~repro.serve.server.ModelServer` with
+graceful SIGINT/SIGTERM shutdown, and a
+:class:`~repro.serve.client.ServeClient`.
 
 Guarantees:
 
@@ -19,7 +20,7 @@ Guarantees:
 * repeated queries against an unchanged model version hit the warm
   embedding cache — zero encoder passes on the request path.
 
-Entry points: ``repro serve CKPT [--port] [--batch-window-ms]`` on the CLI,
+Entry points: ``repro serve CKPT [--port] [--max-batch]`` on the CLI,
 or programmatically::
 
     from repro.api import OpenWorldClassifier

@@ -1,21 +1,23 @@
 """Micro-batching of concurrent prediction requests.
 
 :class:`RequestCoalescer` funnels requests from many transport threads into
-one worker: the first pending request opens a batch window
-(``batch_window_ms``), every request arriving inside it joins the batch, and
-the whole batch is answered by **one** call to the batch function (one
-snapshot access — and at most one encoder pass — instead of one per
-request).  Results are split back per request, so callers cannot observe
-whether they were batched: the service guarantees a coalesced micro-batch
-is bit-for-bit identical to independent single-node queries.
+one worker.  The worker dispatches as soon as it is free: it takes whatever
+is queued (up to ``max_batch`` nodes) and answers it with **one** call to
+the batch function (one snapshot access — and at most one encoder pass —
+instead of one per request).  Nothing waits for stragglers; requests that
+arrive while a batch runs share the next call, so concurrent load still
+coalesces and an idle server answers at once.  Results are split back per
+request, so callers cannot observe whether they were batched: the service
+guarantees a coalesced micro-batch is bit-for-bit identical to independent
+single-node queries.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from collections import deque
 from concurrent.futures import Future
-from typing import Callable, List, Sequence
+from typing import Callable, Deque, List, Sequence
 
 from ..obs import REGISTRY
 
@@ -40,17 +42,13 @@ class _Pending:
 
 
 class RequestCoalescer:
-    """Batch concurrent requests within a small window into one model call.
+    """Answer everything queued by one model call whenever the worker is free.
 
     Parameters
     ----------
     batch_fn:
         Called with the concatenated node ids of every request in the batch;
         must return one result per node, in order.
-    batch_window_ms:
-        How long the worker waits after the first request for stragglers to
-        join the batch.  ``0`` disables waiting (each drain takes whatever
-        is already queued).
     max_batch:
         Upper bound on nodes per batch; requests beyond it stay queued for
         the next batch.
@@ -59,13 +57,11 @@ class RequestCoalescer:
     def __init__(
         self,
         batch_fn: Callable[[List[int]], List[dict]],
-        batch_window_ms: float = 2.0,
         max_batch: int = 1024,
     ):
         self._batch_fn = batch_fn
-        self.batch_window_ms = float(batch_window_ms)
         self.max_batch = int(max_batch)
-        self._pending: List[_Pending] = []  # guarded-by: _wakeup
+        self._pending: Deque[_Pending] = deque()  # guarded-by: _wakeup
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._stop = False  # guarded-by: _wakeup
@@ -119,38 +115,28 @@ class RequestCoalescer:
     # Worker
     # ------------------------------------------------------------------
     def _take_batch(self) -> List[_Pending]:
-        """Wait for work, hold the window open, then take up to max_batch."""
+        """Block until work or a stop, then take up to max_batch nodes.
+
+        Returns an empty list only once stopped with nothing queued.
+        """
         with self._wakeup:
             while not self._pending and not self._stop:
-                self._wakeup.wait(timeout=0.1)
-            if not self._pending:
-                return []
-        # Window: let concurrent requests land in the same batch.  Sleeping
-        # outside the lock keeps submit() non-blocking during the window.
-        if self.batch_window_ms > 0:
-            time.sleep(self.batch_window_ms / 1e3)
-        with self._wakeup:
+                self._wakeup.wait()
             batch: List[_Pending] = []
             size = 0
             while self._pending and size + len(self._pending[0].nodes) <= self.max_batch:
-                pending = self._pending.pop(0)
+                pending = self._pending.popleft()
                 batch.append(pending)
                 size += len(pending.nodes)
             if not batch and self._pending:
                 # A single oversized request: take it alone rather than stall.
-                batch.append(self._pending.pop(0))
+                batch.append(self._pending.popleft())
         if batch:
             _QUEUE_DEPTH.dec(len(batch))
         return batch
 
     def _run(self) -> None:
-        while True:
-            batch = self._take_batch()
-            if not batch:
-                with self._wakeup:
-                    if self._stop and not self._pending:
-                        return
-                continue
+        while batch := self._take_batch():
             self._execute(batch)
 
     def _execute(self, batch: List[_Pending]) -> None:

@@ -3,8 +3,10 @@
 :class:`ModelServer` glues the pieces together: a
 :class:`~repro.serve.service.PredictionService` owns the model (single
 writer), a :class:`~repro.serve.coalescer.RequestCoalescer` micro-batches
-concurrent queries, a :class:`~http.server.ThreadingHTTPServer` handles the
-sockets (many readers), and a :class:`~repro.serve.metrics.LatencyRecorder`
+concurrent queries (those that queue while a batch runs share the next
+model call; nothing waits for stragglers), a
+:class:`~http.server.ThreadingHTTPServer` handles the sockets (many
+readers), and a :class:`~repro.serve.metrics.LatencyRecorder`
 tracks per-request latency.  Reads never wait for a write: while
 ``POST /delta`` holds the writer lock, ``/predict`` and ``/health`` answer
 from the last published snapshot, so a node the delta adds gets 400 until
@@ -79,7 +81,6 @@ class ServeConfig(SerializableConfig):
 
     host: str = "127.0.0.1"
     port: int = 8741
-    batch_window_ms: float = 2.0
     max_batch: int = 1024
     warm: bool = True
 
@@ -327,11 +328,8 @@ class ModelServer:
         self.service = service
         self.config = config or ServeConfig()
         self.latency = LatencyRecorder()
-        self.coalescer = RequestCoalescer(
-            service.query,
-            batch_window_ms=self.config.batch_window_ms,
-            max_batch=self.config.max_batch,
-        )
+        self.coalescer = RequestCoalescer(service.query,
+                                          max_batch=self.config.max_batch)
         self._httpd: Optional[_HTTPServer] = None
         self._serving = threading.Event()
         self._shutdown_started = threading.Event()

@@ -42,6 +42,9 @@ _DELTAS_APPLIED = REGISTRY.counter(
 _SNAPSHOT_BUILD_SECONDS = REGISTRY.histogram(
     "repro_serve_snapshot_build_seconds",
     "Wall time of one full snapshot rebuild (encoder + cluster + logits).")
+_PREDICTED_NOVEL_SHARE = REGISTRY.gauge(
+    "repro_serve_predicted_novel_share",
+    "Fraction of nodes the last published snapshot predicts as a novel class.")
 
 
 @dataclass(frozen=True)
@@ -203,8 +206,12 @@ class PredictionService:
         cluster_labels.setflags(write=False)
         seen_classes = label_space.seen_classes.copy()
         seen_classes.setflags(write=False)
+        novel_offset = int(label_space.seen_classes.max()) + 1
         self.snapshot_builds += 1
         _SNAPSHOT_BUILDS.inc()
+        # Every build that gets here is published; a rejected one raised
+        # above and leaves the published snapshot's share in place.
+        _PREDICTED_NOVEL_SHARE.set(float(np.mean(predictions >= novel_offset)))
         return ServingSnapshot(
             method=self.classifier.method,
             dataset=getattr(self.classifier.dataset_, "name", "?"),
@@ -215,7 +222,7 @@ class PredictionService:
             predictions=predictions,
             cluster_labels=cluster_labels,
             known_logits=known_logits,
-            novel_offset=int(label_space.seen_classes.max()) + 1,
+            novel_offset=novel_offset,
             result=result,
             embeddings=embeddings,
         )

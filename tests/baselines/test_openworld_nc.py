@@ -66,6 +66,25 @@ class TestOpenWGL:
         assert confidence.shape[0] == small_dataset.graph.num_nodes
         assert (confidence > 0).all() and (confidence <= 1.0).all()
 
+    def test_predict_is_a_function_of_the_model(self, small_dataset, config):
+        trainer = OpenWGLTrainer(small_dataset, config, num_uncertainty_samples=2)
+        trainer.fit()
+        first = trainer.predict().predictions
+        np.testing.assert_array_equal(trainer.predict().predictions, first)
+
+    def test_evaluation_during_training_leaves_the_weights(self, small_dataset):
+        weights = []
+        for eval_every in (0, 1):
+            trainer = OpenWGLTrainer(
+                small_dataset,
+                fast_config(max_epochs=3, encoder_kind="gcn", batch_size=160,
+                            eval_every=eval_every),
+                num_uncertainty_samples=2)
+            trainer.fit()
+            weights.append([p.data.copy() for p in trainer.encoder.parameters()])
+        for quiet, evaluated in zip(*weights, strict=True):
+            np.testing.assert_array_equal(evaluated, quiet)
+
     def test_rejection_quantile_controls_ood_rate(self, small_dataset, config):
         conservative = OpenWGLTrainer(small_dataset, config, rejection_quantile=0.2,
                                       num_uncertainty_samples=2)

@@ -41,7 +41,7 @@ ALL_CONFIGS = [
     OpenIMAConfig(eta=2.5, rho=50.0, large_scale=True, num_novel_classes=4),
     InferenceConfig(mode="layerwise", chunk_size=256, partial_threshold=0.25),
     SBMConfig(num_nodes=120, num_classes=4, homophily=0.7, feature_dim=16),
-    ServeConfig(port=0, batch_window_ms=1.5, max_batch=64, warm=False),
+    ServeConfig(port=0, max_batch=64, warm=False),
     ExperimentConfig(scale=0.25, max_epochs=4, seeds=[1, 2], eval_every=2),
 ]
 
@@ -162,15 +162,18 @@ class TestValidation:
          "unknown SamplingConfig keys.*'seed'"),
         (ExperimentConfig, {"parallel_backend": "threads"},
          "unknown ExperimentConfig keys.*'parallel_backend'"),
+        (ServeConfig, {"batch_window_ms": 1},
+         "unknown ServeConfig keys.*'batch_window_ms'"),
     ], ids=["encoder.backend", "trainer.mini_batch_kmeans",
             "trainer.kmeans_batch_size", "experiment.backend",
             "clustering.warm_start", "clustering.refresh_tolerance",
             "clustering.seed", "inference.cache", "inference.partial_refresh",
-            "sampling.seed", "experiment.parallel_backend"])
+            "sampling.seed", "experiment.parallel_backend",
+            "serve.batch_window_ms"])
     def test_removed_option_rejected(self, config_class, data, message):
         """Removed options fail loudly, not silently: the dense backend, the
-        legacy K-Means switches, and the clustering, inference, sampling and
-        grid-pool settings that no caller set."""
+        legacy K-Means switches, the clustering, inference, sampling and
+        grid-pool settings that no caller set, and the serving batch window."""
         with pytest.raises(ValueError, match=message):
             config_class.from_dict(data)
 

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.experiments.cli import build_parser
 from repro.serve import ServeClient, blas_threads
@@ -22,7 +24,6 @@ class TestParsing:
         assert args.checkpoint == str(tmp_path)
         assert args.host == "127.0.0.1"
         assert args.port == 8741
-        assert args.batch_window_ms == 2.0
         assert args.max_batch == 1024
         assert not args.no_warm
         assert args.overrides == []
@@ -30,15 +31,22 @@ class TestParsing:
     def test_all_options(self, tmp_path):
         args = build_parser().parse_args([
             "serve", str(tmp_path), "--host", "0.0.0.0", "--port", "0",
-            "--batch-window-ms", "5", "--max-batch", "64", "--no-warm",
+            "--max-batch", "64", "--no-warm",
             "--set", "inference.mode=layerwise",
             "--set", "clustering.strategy=minibatch",
         ])
         assert args.port == 0
-        assert args.batch_window_ms == 5.0
         assert args.max_batch == 64
         assert args.no_warm
         assert len(args.overrides) == 2
+
+    def test_batch_window_flag_is_a_usage_error(self, tmp_path, capsys):
+        """The coalescer dispatches as soon as it is free; no window to set."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve", str(tmp_path), "--batch-window-ms", "1"])
+        assert excinfo.value.code == 2
+        assert "--batch-window-ms" in capsys.readouterr().err
 
 
 class TestSubprocessRoundTrip:
@@ -49,7 +57,7 @@ class TestSubprocessRoundTrip:
             filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
         process = subprocess.Popen(
             [sys.executable, "-m", "repro.experiments.cli", "serve",
-             str(served_checkpoint), "--port", "0", "--batch-window-ms", "1"],
+             str(served_checkpoint), "--port", "0"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
         )
         try:

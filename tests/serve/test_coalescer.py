@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
 
@@ -15,10 +16,29 @@ def echo_batch(nodes):
     return [{"node": n, "value": n * 10} for n in nodes]
 
 
+class HeldBatch:
+    """A batch function that parks the worker in its call until released.
+
+    Requests submitted while the worker is parked queue up, so a test can
+    build a batch without relying on timing.
+    """
+
+    def __init__(self):
+        self.calls = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, nodes):
+        self.calls.append(list(nodes))
+        self.entered.set()
+        # Bounded, so a failing test cannot leave the worker parked.
+        self.release.wait(timeout=5)
+        return echo_batch(nodes)
+
+
 @pytest.fixture()
 def coalescer():
-    # A generous window so a burst reliably coalesces even on a loaded CI box.
-    c = RequestCoalescer(echo_batch, batch_window_ms=50.0).start()
+    c = RequestCoalescer(echo_batch).start()
     yield c
     c.stop()
 
@@ -27,25 +47,38 @@ class TestBatching:
     def test_single_request_round_trip(self, coalescer):
         assert coalescer.predict([4, 2]) == echo_batch([4, 2])
 
-    def test_concurrent_requests_share_a_batch(self, coalescer):
-        start = threading.Barrier(8)
-        results = {}
+    def test_takes_no_window(self):
+        with pytest.raises(TypeError):
+            RequestCoalescer(echo_batch, batch_window_ms=1.0)
 
-        def worker(i):
-            start.wait()
-            results[i] = coalescer.predict([i])
+    def test_idle_coalescer_answers_at_once(self, coalescer):
+        coalescer.predict([0])  # the worker thread is up
+        times = []
+        for node in range(20):
+            start = time.perf_counter()
+            assert coalescer.predict([node]) == echo_batch([node])
+            times.append(time.perf_counter() - start)
+        assert statistics.median(times) < 2e-3
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert results == {i: echo_batch([i]) for i in range(8)}
-        stats = coalescer.stats()
-        assert stats["requests"] == 8
-        # The 10ms window must have merged at least some of the burst.
-        assert stats["batches"] < 8
-        assert stats["coalesced_requests"] > 0
+    def test_requests_queued_during_a_batch_share_the_next(self):
+        held = HeldBatch()
+        c = RequestCoalescer(held).start()
+        try:
+            first = c.submit([100])
+            assert held.entered.wait(timeout=5)
+            queued = [c.submit([node]) for node in range(6)]
+            held.release.set()
+            assert first.result(timeout=5) == echo_batch([100])
+            assert [f.result(timeout=5) for f in queued] == [
+                echo_batch([node]) for node in range(6)]
+            assert held.calls == [[100], list(range(6))]
+            stats = c.stats()
+            assert stats["batches"] == 2
+            assert stats["requests"] == 7
+            assert stats["coalesced_requests"] == 6
+        finally:
+            held.release.set()
+            c.stop()
 
     def test_results_split_back_per_request(self, coalescer):
         futures = [coalescer.submit([i, i + 100]) for i in range(5)]
@@ -59,18 +92,18 @@ class TestBatching:
             sizes.append(len(nodes))
             return echo_batch(nodes)
 
-        c = RequestCoalescer(recording_batch, batch_window_ms=20.0, max_batch=3)
+        c = RequestCoalescer(recording_batch, max_batch=3)
         try:
             futures = [c.submit([i]) for i in range(7)]
             c.start()
             for f in futures:
                 f.result(timeout=5)
-            assert all(size <= 3 for size in sizes)
+            assert sizes == [3, 3, 1]
         finally:
             c.stop()
 
     def test_oversized_request_still_served(self):
-        c = RequestCoalescer(echo_batch, batch_window_ms=0.0, max_batch=2).start()
+        c = RequestCoalescer(echo_batch, max_batch=2).start()
         try:
             assert c.predict([1, 2, 3, 4, 5]) == echo_batch([1, 2, 3, 4, 5])
         finally:
@@ -82,12 +115,15 @@ class TestFailureAndShutdown:
         def failing_batch(nodes):
             raise IndexError("node out of range")
 
-        c = RequestCoalescer(failing_batch, batch_window_ms=5.0).start()
+        c = RequestCoalescer(failing_batch)
         try:
+            # Queued before the worker starts, so all three share one batch.
             futures = [c.submit([i]) for i in range(3)]
+            c.start()
             for future in futures:
                 with pytest.raises(IndexError):
                     future.result(timeout=5)
+            assert c.stats()["batches"] == 1
         finally:
             c.stop()
 
@@ -100,7 +136,7 @@ class TestFailureAndShutdown:
                 raise RuntimeError("first batch fails")
             return echo_batch(nodes)
 
-        c = RequestCoalescer(flaky_batch, batch_window_ms=0.0).start()
+        c = RequestCoalescer(flaky_batch).start()
         try:
             with pytest.raises(RuntimeError):
                 c.predict([1])
@@ -109,17 +145,12 @@ class TestFailureAndShutdown:
             c.stop()
 
     def test_stop_drains_pending_requests(self):
-        release = threading.Event()
-
-        def slow_batch(nodes):
-            release.wait(timeout=5)
-            return echo_batch(nodes)
-
-        c = RequestCoalescer(slow_batch, batch_window_ms=0.0).start()
+        held = HeldBatch()
+        c = RequestCoalescer(held).start()
         first = c.submit([1])
-        time.sleep(0.05)  # let the worker pick up the first batch
+        assert held.entered.wait(timeout=5)
         second = c.submit([2])
-        release.set()
+        held.release.set()
         c.stop()
         assert first.result(timeout=5) == echo_batch([1])
         assert second.result(timeout=5) == echo_batch([2])
@@ -131,7 +162,7 @@ class TestFailureAndShutdown:
             c.submit([1])
 
     def test_result_length_mismatch_is_an_error(self):
-        c = RequestCoalescer(lambda nodes: [], batch_window_ms=0.0).start()
+        c = RequestCoalescer(lambda nodes: []).start()
         try:
             with pytest.raises(RuntimeError):
                 c.predict([1, 2])

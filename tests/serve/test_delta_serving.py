@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import OpenWorldClassifier
 from repro.graphs import GraphDelta
+from repro.obs import REGISTRY
 from repro.serve import (
     ModelServer,
     PredictionService,
@@ -40,6 +41,11 @@ def overflowing_delta(graph):
     n = graph.num_nodes
     return GraphDelta.undirected(add_features=np.full((1, graph.features.shape[1]), 1e308),
                                  add_edges=[[n], [0]])
+
+
+def novel_share(snapshot):
+    """The share of nodes ``snapshot`` predicts as a novel class."""
+    return float(np.mean(snapshot.predictions >= snapshot.novel_offset))
 
 
 def outcome_within(call, timeout=2.0):
@@ -194,11 +200,29 @@ class TestServiceApplyDelta:
         assert service.snapshot_builds == builds + 1
 
 
+class TestPredictedNovelShare:
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_gauge_follows_the_published_snapshot(self, served_classifier):
+        gauge = REGISTRY.get("repro_serve_predicted_novel_share")
+        service = PredictionService(served_classifier)
+        warmed = service.warm()
+        assert gauge.value() == novel_share(warmed)
+        graph = served_classifier.trainer_.dataset.graph
+        service.apply_delta(arrival_delta(graph, num_new=3))
+        published = service.snapshot()
+        assert gauge.value() == novel_share(published)
+
+        with pytest.raises(ValueError):
+            service.apply_delta(overflowing_delta(graph))
+        assert service.snapshot() is published
+        assert gauge.value() == novel_share(published)
+
+
 @pytest.fixture()
 def running_server(served_classifier):
     server = ModelServer(
         PredictionService(served_classifier),
-        ServeConfig(port=0, batch_window_ms=1.0),
+        ServeConfig(port=0),
     )
     server.serve_in_background()
     client = ServeClient(port=server.port)

@@ -30,7 +30,7 @@ from tests.obs.test_prometheus_format import (
 def running_server(served_classifier):
     server = ModelServer(
         PredictionService(served_classifier),
-        ServeConfig(port=0, batch_window_ms=1.0),
+        ServeConfig(port=0),
     )
     server.serve_in_background()
     client = ServeClient(port=server.port)
@@ -115,6 +115,20 @@ class TestMetricsEndpoint:
         # The /metrics request itself is in flight while rendering.
         value = gauge["samples"][("repro_serve_inflight_requests", ())]
         assert value >= 1.0
+
+
+    def test_predicted_novel_share_gauge_present(self, running_server):
+        server, client = running_server
+        snapshot = server.service.snapshot()
+        share = float((snapshot.predictions >= snapshot.novel_offset).mean())
+        gauge = parse_prometheus(
+            client.metrics())["repro_serve_predicted_novel_share"]
+        assert gauge["type"] == "gauge"
+        assert gauge["samples"][("repro_serve_predicted_novel_share", ())] == (
+            pytest.approx(share))
+        summary = client.stats()["obs"]["metrics"]
+        assert summary["repro_serve_predicted_novel_share"] == {
+            "kind": "gauge", "values": {"": share}}
 
 
 class TestStatsObsSection:

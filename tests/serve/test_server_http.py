@@ -40,7 +40,7 @@ def _raw_post(port: int, content_length: str, body: bytes) -> int:
 def running_server(served_classifier):
     server = ModelServer(
         PredictionService(served_classifier),
-        ServeConfig(port=0, batch_window_ms=1.0),
+        ServeConfig(port=0),
     )
     server.serve_in_background()
     client = ServeClient(port=server.port)
@@ -180,7 +180,7 @@ class TestHTTPEndpoints:
 class TestLifecycle:
     def test_graceful_shutdown_releases_port(self, served_classifier):
         server = ModelServer(PredictionService(served_classifier),
-                             ServeConfig(port=0, batch_window_ms=0.0))
+                             ServeConfig(port=0))
         thread = server.serve_in_background()
         port = server.port
         client = ServeClient(port=port)
@@ -191,7 +191,7 @@ class TestLifecycle:
         # The port is released: a second server can bind the same one.
         relisten = ModelServer(
             PredictionService(served_classifier),
-            ServeConfig(port=port, batch_window_ms=0.0, warm=False),
+            ServeConfig(port=port, warm=False),
         )
         relisten.start()
         relisten_thread = relisten.serve_in_background()
@@ -211,7 +211,7 @@ class TestLifecycle:
                     if "process_request_thread" in t.name and t.is_alive()]
 
         server = ModelServer(PredictionService(served_classifier),
-                             ServeConfig(port=0, batch_window_ms=0.0))
+                             ServeConfig(port=0))
         thread = server.serve_in_background()
         client = ServeClient(port=server.port, timeout=5)
         client.wait_until_ready(timeout=10)  # keeps its connection open
@@ -232,7 +232,7 @@ class TestLifecycle:
         coalescer itself, and a later serve_forever returns at once."""
         before = set(threading.enumerate())
         server = ModelServer(PredictionService(served_classifier),
-                             ServeConfig(port=0, batch_window_ms=0.0, warm=False))
+                             ServeConfig(port=0, warm=False))
         server.start()
         port = server.port
         stopper = threading.Thread(target=server.shutdown, daemon=True)
